@@ -14,6 +14,14 @@ radicand).  Checking a certificate reduces to non-negativity queries:
 * compatibility of a rule l -> r:  P_l - P_r - margin >= 0 with margin
   delta/1 (strict) or 0 (weak).
 
+Each condition has one decider (``_well_defined``, ``_mono_argument``, and
+``excess_at_least`` on the composed sides of a rule), shared by the checker
+and by the search's template filter ``_candidate_permissible``.  Deciding is
+kept apart from explaining: a closed-form monotonicity rejection carries a
+reason but no witness, and only the checker re-runs the shifted difference
+to attach a witness point; it composes each rule's sides once and renders
+the inequality only for conditions that are not proved.
+
 The certificate file format::
 
     (DOMAIN N) | (DOMAIN Q (DELTA 1)) | (DOMAIN R (DELTA 1) (SQRT 2))
@@ -23,6 +31,8 @@ or, for incremental rule-removal proofs, a sequence of steps whose REMOVE
 indices are 1-based positions in the residual system at that step::
 
     (STEPS (STEP (DOMAIN ..) (INTERP ..) (REMOVE 1 3 4)) ...)
+
+Parentheses nest at most ``trs.MAX_NESTING`` levels deep.
 """
 
 from __future__ import annotations
@@ -41,9 +51,9 @@ from .numeric import (
     parse_scalar,
     scalar_sign,
 )
-from .poly import Poly, format_poly, parse_poly
+from .poly import Poly, format_poly, monomial, parse_poly
 from .positivity import Verdict, excess_at_least, nonneg_on
-from .trs import FunSym, Rule, Term, Trs, Var, term_symbols
+from .trs import MAX_NESTING, FunSym, Rule, Term, Trs, Var, term_symbols
 
 __all__ = [
     "Interp",
@@ -156,104 +166,132 @@ def eval_term(interp: Interp, t: Term) -> Poly:
     return eval_term_with(interp.assignment, t)
 
 
-# -- closed-form criteria (univariate quadratics and linear shapes) -----------
+# -- deciders: one per condition, shared by the checker and the search --------
 
 
-def nat_quad_permissible(a, b, c) -> bool:
-    """Strictly monotone and well-defined over N: a > 0, c >= 0, a + b > 0."""
-    a, b, c = as_scalar(a), as_scalar(b), as_scalar(c)
-    return (
-        scalar_sign(a) > 0
-        and scalar_sign(c) >= 0
-        and scalar_sign(a + b) > 0
-    )
+def _margin(kind: str, domain: DomainTag) -> Scalar:
+    """The margin of a strict condition (delta, 1 over N) or of a weak one (0)."""
+    return domain.strict_margin if kind == "strict" else Fraction(0)
 
 
-def linear_permissible(a0, slopes: Iterable) -> bool:
-    """Strictly monotone and well-defined linear shape: a0 >= 0, ai >= 1."""
-    if scalar_sign(as_scalar(a0)) < 0:
-        return False
-    return all(scalar_sign(as_scalar(ai) - 1) >= 0 for ai in slopes)
+def _well_defined(poly: Poly, domain: DomainTag) -> Verdict:
+    """poly maps the carrier into itself; over N also integer coefficients."""
+    if domain.kind == "N":
+        bad = [c for c in poly.coeffs() if not is_integer(c)]
+        if bad:
+            return Verdict.disproved(
+                None, None, f"non-integer coefficient {format_scalar(bad[0])} over N"
+            )
+    return nonneg_on(poly, domain.base)
 
 
-def qr_quad_strict_permissible(a, b, c, delta) -> bool:
-    """Strictly monotone (wrt the delta order) and well-defined over Q0/R0."""
-    a, b, c, delta = map(as_scalar, (a, b, c, delta))
-    return (
-        scalar_sign(a) > 0
-        and scalar_sign(c) >= 0
-        and scalar_sign(a * delta + b - 1) >= 0
-        and (scalar_sign(b) >= 0 or scalar_sign(4 * a * c - b * b) >= 0)
-    )
+def _mono_shift_diff(poly: Poly, var: str, kind: str, domain: DomainTag) -> Poly:
+    """f(.., var + step, ..) - f - margin, which is >= 0 iff var is monotone.
 
-
-def qr_quad_weak_permissible(a, b, c) -> bool:
-    """Weakly monotone (and well-defined) over Q0/R0: a > 0 and b, c >= 0."""
-    a, b, c = as_scalar(a), as_scalar(b), as_scalar(c)
-    return scalar_sign(a) > 0 and scalar_sign(b) >= 0 and scalar_sign(c) >= 0
-
-
-# -- monotonicity ---------------------------------------------------------------
-
-
-def _mono_shift_diff(poly: Poly, var: str, kind: str, domain: DomainTag) -> tuple[Poly, Scalar]:
-    """The shifted-difference polynomial and margin for a monotonicity check."""
-    if kind == "strict":
-        margin = domain.strict_margin
-        if domain.kind == "N":
-            shifted = poly.shift(var, Fraction(1))
-        else:
-            subst = {v: Poly.var(v) for v in poly.variables()}
-            subst[var] = Poly.var(var) + Poly.const(margin) + Poly.var(_SHIFT_VAR)
-            shifted = poly.compose(subst)
-        return shifted - poly, margin
+    The step is 1 over N and margin + h, for a fresh h >= 0, otherwise.
+    """
+    margin = _margin(kind, domain)
     if domain.kind == "N":
         shifted = poly.shift(var, Fraction(1))
     else:
         subst = {v: Poly.var(v) for v in poly.variables()}
-        subst[var] = Poly.var(var) + Poly.var(_SHIFT_VAR)
+        subst[var] = Poly.var(var) + Poly.const(margin) + Poly.var(_SHIFT_VAR)
         shifted = poly.compose(subst)
-    return shifted - poly, Fraction(0)
-
-
-def _mono_general(poly: Poly, var: str, kind: str, domain: DomainTag) -> Verdict:
-    diff, margin = _mono_shift_diff(poly, var, kind, domain)
-    return nonneg_on(diff - Poly.const(margin), domain.base)
+    return shifted - poly - Poly.const(margin)
 
 
 def _mono_argument(poly: Poly, arity: int, i: int, kind: str, domain: DomainTag) -> Verdict:
-    """Monotonicity of one argument; closed form when the shape matches."""
+    """Monotonicity of one argument; closed form when the shape matches.
+
+    A closed-form rejection carries a reason but no witness point: only the
+    checker needs one, and it asks _mono_witness for it.
+    """
     var = arg_var(i)
     deg = poly.degree()
+    bound = 1 if kind == "strict" else 0
     if deg <= 1:
         slope = poly.coeff({var: 1})
-        bound = 1 if kind == "strict" else 0
         if scalar_sign(slope - bound) >= 0:
             return Verdict.proved(f"criterion-linear-{kind}")
-        fallback = _mono_general(poly, var, kind, domain)
-        reason = f"slope {format_scalar(slope)} of {var} is below {bound}"
-        if fallback.is_disproved:
-            return Verdict.disproved(fallback.point(), fallback.value, reason)
-        return Verdict.disproved(None, None, reason)
+        return Verdict.disproved(
+            None, None, f"slope {format_scalar(slope)} of {var} is below {bound}"
+        )
     if arity == 1 and deg == 2:
+        # for a >= 0 the shifted difference of a*x^2 + b*x + c is least at
+        # x = 0 and the least step s: 1 over N, else the margin (0 if weak)
         a = poly.coeff({var: 2})
         b = poly.coeff({var: 1})
-        ok: bool
-        if domain.kind == "N":
-            need = 1 if kind == "strict" else 0
-            ok = scalar_sign(a) >= 0 and scalar_sign(a + b - need) >= 0
-        elif kind == "strict":
-            ok = scalar_sign(a) >= 0 and scalar_sign(a * domain.strict_margin + b - 1) >= 0
-        else:
-            ok = scalar_sign(a) >= 0 and scalar_sign(b) >= 0
-        if ok:
+        step = 1 if domain.kind == "N" else _margin(kind, domain)
+        if scalar_sign(a) >= 0 and scalar_sign(a * step + b - bound) >= 0:
             return Verdict.proved(f"criterion-quadratic-{kind}")
-        fallback = _mono_general(poly, var, kind, domain)
-        reason = "quadratic slope condition violated"
-        if fallback.is_disproved:
-            return Verdict.disproved(fallback.point(), fallback.value, reason)
-        return Verdict.disproved(None, None, reason)
-    return _mono_general(poly, var, kind, domain)
+        return Verdict.disproved(None, None, "quadratic slope condition violated")
+    return nonneg_on(_mono_shift_diff(poly, var, kind, domain), domain.base)
+
+
+def _mono_witness(
+    poly: Poly, i: int, kind: str, domain: DomainTag, rejected: Verdict
+) -> Verdict:
+    """A closed-form rejection, with a witness point where the ladder finds one."""
+    refuted = nonneg_on(_mono_shift_diff(poly, arg_var(i), kind, domain), domain.base)
+    if refuted.is_disproved:
+        return Verdict.disproved(refuted.point(), refuted.value, rejected.reason)
+    return rejected
+
+
+def _candidate_permissible(
+    poly: Poly, arity: int, domain: DomainTag, kinds: tuple[str, ...]
+) -> bool:
+    """poly may interpret an arity-n symbol: the checker's symbol conditions.
+
+    Monotone of every kind in ``kinds`` in every argument, and well-defined;
+    the search filters its templates through this.
+    """
+    return all(
+        _mono_argument(poly, arity, i, kind, domain).is_proved
+        for i in range(1, arity + 1)
+        for kind in kinds
+    ) and _well_defined(poly, domain).is_proved
+
+
+# -- closed-form criteria as predicates over the coefficients -----------------
+
+
+def _quadratic(a, b, c) -> Poly:
+    return Poly({monomial({arg_var(1): 2}): a, monomial({arg_var(1): 1}): b, (): c})
+
+
+def nat_quad_permissible(a, b, c) -> bool:
+    """a*x1^2 + b*x1 + c is well-defined and strictly monotone over N."""
+    return _candidate_permissible(_quadratic(a, b, c), 1, DomainTag("N"), ("strict",))
+
+
+def linear_permissible(a0, slopes: Iterable) -> bool:
+    """a0 + a1*x1 + .. + an*xn is well-defined and strictly monotone over R0.
+
+    The answer is the same for every delta and over Q0.
+    """
+    slopes = list(slopes)
+    poly = Poly({(): a0} | {
+        monomial({arg_var(i): 1}): ai for i, ai in enumerate(slopes, start=1)
+    })
+    return _candidate_permissible(
+        poly, len(slopes), DomainTag("R", Fraction(1)), ("strict",)
+    )
+
+
+def qr_quad_strict_permissible(a, b, c, delta) -> bool:
+    """a*x1^2 + b*x1 + c is well-defined and strictly monotone (wrt delta) over R0/Q0."""
+    domain = DomainTag("R", as_scalar(delta))
+    return _candidate_permissible(_quadratic(a, b, c), 1, domain, ("strict",))
+
+
+def qr_quad_weak_permissible(a, b, c) -> bool:
+    """a*x1^2 + b*x1 + c is well-defined and weakly monotone over R0/Q0."""
+    domain = DomainTag("R", Fraction(1))
+    return _candidate_permissible(_quadratic(a, b, c), 1, domain, ("weak",))
+
+
+# -- per-interpretation checks ------------------------------------------------
 
 
 def check_monotone(interp: Interp, kind: str) -> dict[FunSym, tuple[Verdict, ...]]:
@@ -263,9 +301,6 @@ def check_monotone(interp: Interp, kind: str) -> dict[FunSym, tuple[Verdict, ...
     return check_monotone_symbols(interp, kind, interp.assignment)
 
 
-# -- well-definedness -----------------------------------------------------------
-
-
 def check_well_defined(interp: Interp) -> dict[FunSym, Verdict]:
     """f maps the carrier into the carrier; over N also integer coefficients."""
     return {
@@ -273,23 +308,16 @@ def check_well_defined(interp: Interp) -> dict[FunSym, Verdict]:
     }
 
 
-# -- compatibility ---------------------------------------------------------------
-
-
 def check_rule(interp: Interp, rule: Rule, kind: str) -> Verdict:
     """Strict (margin delta/1) or weak (margin 0) compatibility of one rule."""
+    if kind not in ("strict", "weak"):
+        raise ValueError(f"unknown compatibility kind {kind!r}")
     lhs = eval_term(interp, rule.lhs)
     rhs = eval_term(interp, rule.rhs)
-    if kind == "strict":
-        return excess_at_least(lhs, rhs, interp.domain.strict_margin, interp.domain.base)
-    if kind == "weak":
-        return excess_at_least(lhs, rhs, Fraction(0), interp.domain.base)
-    raise ValueError(f"unknown compatibility kind {kind!r}")
+    return excess_at_least(lhs, rhs, _margin(kind, interp.domain), interp.domain.base)
 
 
-def _rule_detail(interp: Interp, rule: Rule, margin: Scalar) -> str:
-    lhs = eval_term(interp, rule.lhs)
-    rhs = eval_term(interp, rule.rhs)
+def _rule_detail(lhs: Poly, rhs: Poly, margin: Scalar) -> str:
     if scalar_sign(margin) == 0:
         return f"{format_poly(lhs)} >= {format_poly(rhs)}"
     return f"{format_poly(lhs)} >= {format_poly(rhs)} + {format_scalar(margin)}"
@@ -379,7 +407,9 @@ def _certificate_conditions(
     weak_required: bool,
 ) -> list[Condition]:
     """Shared condition builder for direct certificates and proof steps."""
-    need = {sym for rule in trs.rules for t in (rule.lhs, rule.rhs) for sym in term_symbols(t)}
+    need = dict.fromkeys(
+        sym for rule in trs.rules for t in (rule.lhs, rule.rhs) for sym in term_symbols(t)
+    )
     missing = [s for s in need if s not in interp.assignment]
     if missing:
         raise ValueError(
@@ -412,53 +442,44 @@ def _certificate_conditions(
                     Condition("weak-mono", True, v, symbol=sym.name, arg=i, step=step)
                 )
     strict_set = set(strict_rules)
+    domain = interp.domain
     for idx, rule in enumerate(trs.rules, start=1):
-        strict_required = idx in strict_set
-        margin = interp.domain.strict_margin
-        if strict_required:
+        lhs = eval_term(interp, rule.lhs)
+        rhs = eval_term(interp, rule.rhs)
+        for kind in ("strict", "weak") if idx in strict_set else ("weak",):
+            margin = _margin(kind, domain)
+            verdict = excess_at_least(lhs, rhs, margin, domain.base)
             conds.append(
                 Condition(
-                    "strict-compat",
-                    True,
-                    check_rule(interp, rule, "strict"),
+                    f"{kind}-compat",
+                    kind == "strict" or weak_required,
+                    verdict,
                     rule_index=idx,
                     step=step,
-                    detail=_rule_detail(interp, rule, margin),
+                    detail=None if verdict.is_proved else _rule_detail(lhs, rhs, margin),
                 )
             )
-        conds.append(
-            Condition(
-                "weak-compat",
-                weak_required,
-                check_rule(interp, rule, "weak"),
-                rule_index=idx,
-                step=step,
-                detail=_rule_detail(interp, rule, Fraction(0)),
-            )
-        )
     return conds
 
 
 def check_well_defined_symbol(interp: Interp, sym: FunSym) -> Verdict:
-    if interp.domain.kind == "N":
-        bad = [c for c in interp.poly_for(sym).coeffs() if not is_integer(c)]
-        if bad:
-            return Verdict.disproved(
-                None, None, f"non-integer coefficient {format_scalar(bad[0])} over N"
-            )
-    return nonneg_on(interp.poly_for(sym), interp.domain.base)
+    return _well_defined(interp.poly_for(sym), interp.domain)
 
 
 def check_monotone_symbols(
     interp: Interp, kind: str, symbols: Iterable[FunSym]
 ) -> dict[FunSym, tuple[Verdict, ...]]:
+    """Monotonicity verdicts; a closed-form rejection gets a witness point."""
     out = {}
     for sym in symbols:
         poly = interp.poly_for(sym)
-        out[sym] = tuple(
-            _mono_argument(poly, sym.arity, i, kind, interp.domain)
-            for i in range(1, sym.arity + 1)
-        )
+        verdicts = []
+        for i in range(1, sym.arity + 1):
+            v = _mono_argument(poly, sym.arity, i, kind, interp.domain)
+            if v.is_disproved and v.witness is None:
+                v = _mono_witness(poly, i, kind, interp.domain, v)
+            verdicts.append(v)
+        out[sym] = tuple(verdicts)
     return out
 
 
@@ -560,12 +581,14 @@ def _read_sexprs(text: str):
             else:
                 break
 
-    def read_form():
+    def read_form(depth: int):
         nonlocal pos
         skip_ws()
         if pos >= n:
             raise ValueError("unexpected end of certificate")
         if text[pos] == "(":
+            if depth > MAX_NESTING:
+                raise ValueError(f"certificate nests deeper than {MAX_NESTING} levels")
             pos += 1
             items = []
             while True:
@@ -575,7 +598,7 @@ def _read_sexprs(text: str):
                 if text[pos] == ")":
                     pos += 1
                     return items
-                items.append(read_form())
+                items.append(read_form(depth + 1))
         if text[pos] == ")":
             raise ValueError("unexpected ')' in certificate")
         start = pos
@@ -588,7 +611,7 @@ def _read_sexprs(text: str):
         skip_ws()
         if pos >= n:
             return forms
-        forms.append(read_form())
+        forms.append(read_form(1))
 
 
 def _render(form) -> str:

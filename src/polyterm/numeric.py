@@ -27,18 +27,13 @@ __all__ = [
     "quadext",
     "rat_make",
     "is_square_free",
-    "scalar_arith",
     "scalar_add",
     "scalar_sub",
     "scalar_mul",
     "scalar_div",
-    "scalar_neg",
     "scalar_sign",
     "scalar_abs",
     "scalar_cmp",
-    "scalar_min",
-    "scalar_max",
-    "scalar_d",
     "as_scalar",
     "is_rational",
     "is_integer",
@@ -225,11 +220,6 @@ def is_integer(x: Scalar) -> bool:
     return isinstance(x, (int, Fraction)) and Fraction(x).denominator == 1
 
 
-def scalar_d(x: Scalar) -> int | None:
-    """The radicand of x, or None for rationals."""
-    return x.d if isinstance(x, QuadExt) else None
-
-
 def scalar_add(x: Scalar, y: Scalar) -> Scalar:
     return x + y
 
@@ -242,29 +232,12 @@ def scalar_mul(x: Scalar, y: Scalar) -> Scalar:
     return x * y
 
 
-def scalar_neg(x: Scalar) -> Scalar:
-    return -x
-
-
 def scalar_div(x: Scalar, y: Scalar) -> Scalar:
     if scalar_sign(y) == 0:
         raise ZeroDivisionError("scalar division by zero")
     if isinstance(y, QuadExt):
         return scalar_mul(x, y.inverse())
     return x / y
-
-
-def scalar_arith(op: str, x: Scalar, y: Scalar) -> Scalar:
-    """Dispatch one of the four field operations by name."""
-    if op == "add":
-        return scalar_add(x, y)
-    if op == "sub":
-        return scalar_sub(x, y)
-    if op == "mul":
-        return scalar_mul(x, y)
-    if op == "div":
-        return scalar_div(x, y)
-    raise ValueError(f"unknown operation {op!r}")
 
 
 def scalar_sign(x: Scalar) -> int:
@@ -298,14 +271,6 @@ def scalar_abs(x: Scalar) -> Scalar:
 
 def scalar_cmp(x: Scalar, y: Scalar) -> int:
     return scalar_sign(scalar_sub(x, y))
-
-
-def scalar_min(x: Scalar, y: Scalar) -> Scalar:
-    return x if scalar_cmp(x, y) <= 0 else y
-
-
-def scalar_max(x: Scalar, y: Scalar) -> Scalar:
-    return x if scalar_cmp(x, y) >= 0 else y
 
 
 # -- text format -----------------------------------------------------------

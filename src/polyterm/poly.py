@@ -32,12 +32,6 @@ __all__ = [
     "Poly",
     "MINUS_INF",
     "monomial",
-    "poly_arith",
-    "poly_compose",
-    "poly_shift",
-    "poly_eval",
-    "poly_degree",
-    "poly_coeff",
     "parse_poly",
     "format_poly",
 ]
@@ -285,42 +279,6 @@ def _as_poly(x) -> "Poly":
     if isinstance(x, (int, Fraction, QuadExt)):
         return Poly.const(x)
     return NotImplemented
-
-
-# -- free-function aliases ----------------------------------------------------
-
-
-def poly_arith(op: str, p: Poly, q) -> Poly:
-    """add/sub/mul of two polynomials, or scale by a Scalar."""
-    if op == "add":
-        return p + q
-    if op == "sub":
-        return p - q
-    if op == "mul":
-        return p * q
-    if op == "scale":
-        return p.scale(q)
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def poly_compose(p: Poly, subst: Mapping[str, Poly]) -> Poly:
-    return p.compose(subst)
-
-
-def poly_shift(p: Poly, var: str, s) -> Poly:
-    return p.shift(var, as_scalar(s))
-
-
-def poly_eval(p: Poly, point: Mapping[str, Scalar]) -> Scalar:
-    return p.eval(point)
-
-
-def poly_degree(p: Poly) -> int | float:
-    return p.degree()
-
-
-def poly_coeff(p: Poly, m) -> Scalar:
-    return p.coeff(m)
 
 
 # -- text format ---------------------------------------------------------

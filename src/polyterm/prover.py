@@ -46,14 +46,15 @@ from .interp import (
     CheckReport,
     Condition,
     Interp,
-    _mono_argument,
+    _candidate_permissible,
+    _margin,
     arg_var,
     eval_term_with,
     step_conditions,
 )
-from .numeric import DomainTag, Scalar, as_scalar, format_scalar, is_integer, quadext, scalar_abs, scalar_cmp, scalar_sign
+from .numeric import DomainTag, Scalar, as_scalar, format_scalar, quadext, scalar_abs, scalar_cmp, scalar_sign
 from .poly import Poly, monomial
-from .positivity import Verdict, nonneg_on
+from .positivity import Verdict, excess_at_least, nonneg_on
 from .trs import FunSym, Rule, Term, Trs, Var, term_symbols
 
 __all__ = [
@@ -241,28 +242,16 @@ def _symbol_candidates(
     # has no negative coefficient at all
     if require_weak and domain.kind != "N":
         values = [v for v in values if scalar_sign(v) >= 0]
+    kinds = ("strict", "weak") if require_weak else ("strict",)
     out: list[Poly] = []
     for coeffs in itertools.product(values, repeat=len(positions)):
         if degree > 0 and all(scalar_sign(coeffs[i]) == 0 for i in top):
             continue  # belongs to a lower-degree template
         poly = Poly({m: c for m, c in zip(positions, coeffs)})
-        if not _candidate_permissible(poly, sym, domain, require_weak):
+        if not _candidate_permissible(poly, sym.arity, domain, kinds):
             continue
         out.append(poly)
     return out
-
-
-def _candidate_permissible(
-    poly: Poly, sym: FunSym, domain: DomainTag, require_weak: bool
-) -> bool:
-    for i in range(1, sym.arity + 1):
-        if not _mono_argument(poly, sym.arity, i, "strict", domain).is_proved:
-            return False
-        if require_weak and not _mono_argument(poly, sym.arity, i, "weak", domain).is_proved:
-            return False
-    if domain.kind == "N" and not all(is_integer(c) for c in poly.coeffs()):
-        return False
-    return nonneg_on(poly, domain.base).is_proved
 
 
 # -- the backtracking search engine --------------------------------------------
@@ -570,17 +559,16 @@ def _rule_selectivity(
     samples: int = 160,
 ) -> float:
     """Estimated pass rate of one compatibility check over random candidates."""
-    syms = list({s for t in (rule.lhs, rule.rhs) for s in term_symbols(t)})
+    syms = list(dict.fromkeys(s for t in (rule.lhs, rule.rhs) for s in term_symbols(t)))
     if any(not candidates[s.name] for s in syms):
         return 0.0
-    margin = domain.strict_margin if mode == "strict" else Fraction(0)
+    margin = _margin(mode, domain)
     passed = 0
     for _ in range(samples):
         table = {s: rng.choice(candidates[s.name]) for s in syms}
         lhs = eval_term_with(table, rule.lhs)
         rhs = eval_term_with(table, rule.rhs)
-        diff = lhs - rhs - Poly.const(margin)
-        if nonneg_on(diff, domain.base).is_proved:
+        if excess_at_least(lhs, rhs, margin, domain.base).is_proved:
             passed += 1
     return (passed + 1) / (samples + 2)
 

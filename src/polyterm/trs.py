@@ -10,7 +10,8 @@ Identifiers are ``[A-Za-z0-9_']+``; whitespace and newlines are
 insignificant; ``;`` starts a comment running to end of line.  Identifiers
 listed in the VAR section are variables, every other identifier is a
 function symbol whose arity is fixed by its first use.  Numerals like ``0``
-are ordinary constant symbols.
+are ordinary constant symbols.  Terms nest at most ``MAX_NESTING`` levels
+deep, so that hostile input is rejected before it exhausts the stack.
 """
 
 from __future__ import annotations
@@ -33,7 +34,11 @@ __all__ = [
     "parse_trs",
     "format_trs",
     "format_term",
+    "MAX_NESTING",
 ]
+
+# deepest term (and certificate s-expression) accepted; the corpus needs 8
+MAX_NESTING = 256
 
 
 class TrsError(ValueError):
@@ -167,27 +172,15 @@ class Trs:
 
     def subsystem(self, rule_indices: "list[int] | tuple[int, ...]") -> "Trs":
         """The TRS restricted to the given 0-based rule indices (kept in order)."""
-        rules = tuple(self.rules[i] for i in rule_indices)
-        seen: set[FunSym] = set()
-        sig = []
-        for r in rules:
-            for t in (r.lhs, r.rhs):
-                for f in term_symbols(t):
-                    if f not in seen:
-                        seen.add(f)
-                        sig.append(f)
-        return Trs(tuple(sig), rules, name=self.name)
+        return make_trs([self.rules[i] for i in rule_indices], name=self.name)
 
 
 def make_trs(rules: list[Rule], name: str = "") -> Trs:
-    seen: set[FunSym] = set()
-    sig = []
-    for r in rules:
-        for t in (r.lhs, r.rhs):
-            for f in term_symbols(t):
-                if f not in seen:
-                    seen.add(f)
-                    sig.append(f)
+    """A TRS whose signature lists the rules' symbols in reading order.
+
+    Reading order is left to right, outermost first, lhs before rhs.
+    """
+    sig = dict.fromkeys(f for r in rules for t in (r.lhs, r.rhs) for f in term_symbols(t))
     return Trs(tuple(sig), tuple(rules), name=name)
 
 
@@ -250,7 +243,6 @@ class _Parser:
         self.i = 0
         self.vars: set[str] = set()
         self.arities: dict[str, int] = {}
-        self.sig_order: list[str] = []
 
     def peek(self):
         return self.toks[self.i]
@@ -281,16 +273,7 @@ class _Parser:
             rules.append(self.parse_rule())
         self.take(")")
         self.take("eof")
-        # signature in left-to-right, outermost-first reading order
-        seen: set[FunSym] = set()
-        sig: list[FunSym] = []
-        for r in rules:
-            for t in (r.lhs, r.rhs):
-                for f in term_symbols(t):
-                    if f not in seen:
-                        seen.add(f)
-                        sig.append(f)
-        return Trs(tuple(sig), tuple(rules), name=name)
+        return make_trs(rules, name)
 
     def parse_rule(self) -> Rule:
         ltok = self.peek()
@@ -312,17 +295,21 @@ class _Parser:
                 )
         return Rule(lhs, rhs)
 
-    def parse_term(self) -> Term:
+    def parse_term(self, depth: int = 1) -> Term:
         tok = self.take("ident")
         name = tok[1]
         if self.peek()[0] == "(":
             if name in self.vars:
                 raise TrsParseError(f"variable {name!r} applied to arguments", tok[2], tok[3])
+            if depth >= MAX_NESTING:
+                raise TrsParseError(
+                    f"term nests deeper than {MAX_NESTING} levels", tok[2], tok[3]
+                )
             self.take("(")
-            args = [self.parse_term()]
+            args = [self.parse_term(depth + 1)]
             while self.peek()[0] == ",":
                 self.take(",")
-                args.append(self.parse_term())
+                args.append(self.parse_term(depth + 1))
             self.take(")")
             return App(self._symbol(name, len(args), tok), tuple(args))
         if name in self.vars:
@@ -333,7 +320,6 @@ class _Parser:
         known = self.arities.get(name)
         if known is None:
             self.arities[name] = arity
-            self.sig_order.append(name)
         elif known != arity:
             raise TrsParseError(
                 f"symbol {name!r} used with arity {arity}, previously {known}",

@@ -31,6 +31,14 @@ def test_parse_undeclared_identifier_is_constant(tmp_path):
     assert "3 symbols" in report.text
 
 
+def test_parse_deeply_nested_term_is_usage_error(tmp_path):
+    deep = tmp_path / "deep.trs"
+    deep.write_text("(VAR x) (RULES " + "f(" * 3000 + "x" + ")" * 3000 + " -> x)")
+    report = run_cli(["parse", str(deep)])
+    assert report.exit_code == 3
+    assert "nests deeper than 256" in report.text
+
+
 def test_parse_missing_file():
     assert run_cli(["parse", "no-such-file.trs"]).exit_code == 3
 
@@ -60,6 +68,14 @@ def test_check_incremental_certificate():
     )
     assert report.exit_code == 0
     assert "STEP 2" in report.text
+
+
+def test_check_deeply_nested_certificate_is_usage_error(tmp_path):
+    deep = tmp_path / "deep.cert"
+    deep.write_text("(" * 5000 + ")" * 5000)
+    report = run_cli(["check", "--trs", str(DATA / "r1.trs"), "--cert", str(deep)])
+    assert report.exit_code == 3
+    assert "nests deeper than 256" in report.text
 
 
 def test_check_cert_for_wrong_trs_is_usage_error():

@@ -101,16 +101,29 @@ def test_monotone_closed_forms():
     assert all(v.is_proved for v in m[h])
 
 
+def _assert_refutes_strict_mono(poly, var, delta, verdict):
+    """The witness makes poly(.., var + delta + h, ..) - poly - delta negative."""
+    assert verdict.is_disproved
+    point = verdict.point()
+    h = point.pop("x0", Fraction(0))  # the fresh shift variable
+    at = {v: point.get(v, Fraction(0)) for v in poly.variables()}
+    shifted = dict(at, **{var: at[var] + delta + h})
+    value = poly.eval(shifted) - poly.eval(at) - delta
+    assert value < 0 and value == verdict.value
+
+
 def test_monotone_failures_name_argument():
     h = FunSym("h", 2)
-    m = check_monotone(
-        Interp(domain_q(1), {h: parse_poly("x1 + 1/2*x2")}), "strict"
-    )
+    poly = parse_poly("x1 + 1/2*x2")
+    m = check_monotone(Interp(domain_q(1), {h: poly}), "strict")
     assert m[h][0].is_proved and m[h][1].is_disproved
+    _assert_refutes_strict_mono(poly, "x2", Fraction(1), m[h][1])
     # x^2 over Q delta 2 needs a*delta + b >= 1: 2 >= 1 holds; delta 1/4 fails
     f = FunSym("f", 1)
-    m = check_monotone(Interp(domain_q(Fraction(1, 4)), {f: parse_poly("x1^2")}), "strict")
+    poly = parse_poly("x1^2")
+    m = check_monotone(Interp(domain_q(Fraction(1, 4)), {f: poly}), "strict")
     assert m[f][0].is_disproved
+    _assert_refutes_strict_mono(poly, "x1", Fraction(1, 4), m[f][0])
 
 
 def test_monotone_fresh_variable_reduction():

@@ -16,7 +16,6 @@ from polyterm.numeric import (
     parse_scalar,
     quadext,
     rat_make,
-    scalar_arith,
     scalar_div,
     scalar_mul,
     scalar_sign,
@@ -50,7 +49,7 @@ def test_sqrt2_squared_is_two():
 def test_addition_cancels_radical():
     x = parse_scalar("1+sqrt(2)")
     y = parse_scalar("2-sqrt(2)")
-    assert scalar_arith("add", x, y) == Fraction(3)
+    assert x + y == Fraction(3)
 
 
 def test_sign_examples():
@@ -62,7 +61,7 @@ def test_sign_examples():
 
 def test_mixed_radicands_rejected():
     with pytest.raises(ValueError):
-        scalar_arith("add", quadext(0, 1, 2), quadext(0, 1, 3))
+        quadext(0, 1, 2) + quadext(0, 1, 3)
 
 
 def test_division():

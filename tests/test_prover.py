@@ -1,16 +1,23 @@
 """Search, incremental proofs, exhaustion reports."""
 
+import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import polyterm
+
 from polyterm.corpus import load_certificate, load_trs
-from polyterm.interp import Interp, check_certificate
-from polyterm.numeric import DomainTag, domain_n
-from polyterm.poly import parse_poly
+from polyterm.interp import Interp, check_certificate, check_monotone, check_well_defined
+from polyterm.numeric import DomainTag, domain_n, domain_q
+from polyterm.poly import Poly, monomial, parse_poly
 from polyterm.prover import (
     IncrementalProof,
     SearchConfig,
+    _candidate_permissible,
     check_incremental,
     coefficient_grid,
     exhaustion_report,
@@ -211,3 +218,62 @@ def test_found_incremental_passes_independent_checker():
     res = search_incremental(trs, "N", cfg)
     assert res.found
     assert check_incremental(res.proof, trs).accepted
+
+
+def test_candidate_filter_agrees_with_checker():
+    # unary templates of degree <= 2 and binary ones of degree 1
+    shapes = [
+        (FunSym("f", 1), [{"x1": 2}, {"x1": 1}, {}]),
+        (FunSym("h", 2), [{"x1": 1}, {"x2": 1}, {}]),
+    ]
+    cfg = SearchConfig(max_coeff=2, denominators=(1, 2))
+    for domain in (domain_n(), domain_q(Fraction(1, 2)), domain_q(1)):
+        values = coefficient_grid(domain.kind, cfg)
+        for sym, monos in shapes:
+            for coeffs in itertools.product(values, repeat=len(monos)):
+                poly = Poly({monomial(m): c for m, c in zip(monos, coeffs)})
+                interp = Interp(domain, {sym: poly})
+                well = check_well_defined(interp)[sym].is_proved
+                strict = all(v.is_proved for v in check_monotone(interp, "strict")[sym])
+                weak = all(v.is_proved for v in check_monotone(interp, "weak")[sym])
+                assert _candidate_permissible(
+                    poly, sym.arity, domain, ("strict",)
+                ) == (well and strict), (domain, poly)
+                assert _candidate_permissible(
+                    poly, sym.arity, domain, ("strict", "weak")
+                ) == (well and strict and weak), (domain, poly)
+
+
+_PLAN_SCRIPT = """
+import random
+from fractions import Fraction
+from polyterm.corpus import load_trs
+from polyterm.numeric import DomainTag
+from polyterm.prover import (
+    SearchConfig, _plan_order, _rule_selectivity, _symbol_candidates, coefficient_grid,
+)
+trs = load_trs("r6.trs")
+domain = DomainTag("Q", Fraction(1))
+values = coefficient_grid("Q", SearchConfig(max_degree=1, max_coeff=2, denominators=(1,)))
+cands = {
+    s.name: _symbol_candidates(s, min(s.arity, 1), domain, values, True)
+    for s in trs.signature
+}
+rng = random.Random(0)
+print([_rule_selectivity(rule, cands, domain, "weak", rng) for rule in trs.rules])
+print(",".join(s.name for s in _plan_order(trs, cands, domain, "weak")))
+"""
+
+
+def test_plan_order_ignores_hash_seed():
+    src = os.path.dirname(os.path.dirname(polyterm.__file__))
+    outputs = set()
+    for seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", _PLAN_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        outputs.add(run.stdout)
+    assert len(outputs) == 1, outputs
