@@ -15,18 +15,11 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .corpus import verify_all
-from .interp import (
-    Certificate,
-    check_certificate,
-    format_certificate,
-    parse_certificate,
-)
+from .corpus import check_corpus_certificate, verify_all
+from .interp import Certificate, format_certificate, parse_certificate
 from .numeric import parse_scalar
 from .prover import (
-    IncrementalProof,
     SearchConfig,
-    check_incremental,
     exhaustion_report,
     search_direct,
     search_incremental,
@@ -101,11 +94,7 @@ def _cmd_parse(args) -> tuple[int, str]:
 
 def _cmd_check(args) -> tuple[int, str]:
     trs = parse_trs(_read(args.trs), name=args.trs)
-    cert = parse_certificate(_read(args.cert))
-    if cert.is_incremental:
-        report = check_incremental(list(cert.steps), trs)
-    else:
-        report = check_certificate(cert.direct, trs)
+    report = check_corpus_certificate(trs, parse_certificate(_read(args.cert)))
     code = {"accepted": 0, "rejected": 1, "unknown": 2}[report.verdict_word]
     return code, report.format()
 
@@ -137,28 +126,24 @@ def _cmd_prove(args) -> tuple[int, str]:
             return 2, rep.format()
         return (0 if rep.cert_count > 0 else 1), rep.format()
 
+    bounds = cfg.bounds_text(args.domain)
     if args.incremental:
         res = search_incremental(trs, args.domain, cfg)
-        if res.found:
-            text = format_certificate(Certificate(steps=res.proof.steps))
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(text)
-            return 0, "VERDICT found\n" + text.rstrip("\n")
+        cert = Certificate(steps=res.proof.steps) if res.found else None
+        not_found = f"NO-PROGRESS {bounds}"
+    else:
+        res = search_direct(trs, args.domain, cfg)
+        cert = Certificate(direct=res.interp) if res.found else None
+        not_found = f"EXHAUSTED {bounds} CERTS 0"
+    if cert is None:
         if res.status == "budget":
-            return 2, f"INCONCLUSIVE {cfg.bounds_text(args.domain)}"
-        return 1, f"NO-PROGRESS {cfg.bounds_text(args.domain)}"
-
-    res = search_direct(trs, args.domain, cfg)
-    if res.found:
-        text = format_certificate(Certificate(direct=res.interp))
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        return 0, "VERDICT found\n" + text.rstrip("\n")
-    if res.status == "budget":
-        return 2, f"INCONCLUSIVE {cfg.bounds_text(args.domain)}"
-    return 1, f"EXHAUSTED {cfg.bounds_text(args.domain)} CERTS 0"
+            return 2, f"INCONCLUSIVE {bounds}"
+        return 1, not_found
+    text = format_certificate(cert)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    return 0, "VERDICT found\n" + text.rstrip("\n")
 
 
 def _cmd_corpus(args) -> tuple[int, str]:

@@ -97,14 +97,6 @@ class CorpusEntry:
     def trs(self) -> Trs:
         return load_trs(self.trs_file)
 
-    @property
-    def positive_certificates(self) -> tuple[CorpusCertificate, ...]:
-        return tuple(c for c in self.certificates if c.expect_accept)
-
-    @property
-    def negative_certificates(self) -> tuple[CorpusCertificate, ...]:
-        return tuple(c for c in self.certificates if not c.expect_accept)
-
 
 def load_corpus() -> list[CorpusEntry]:
     """All shipped systems with their certificates and broken variants."""
@@ -220,6 +212,7 @@ def load_corpus() -> list[CorpusEntry]:
 
 
 def check_corpus_certificate(trs: Trs, cert: Certificate) -> CheckReport:
+    """Check a direct or an incremental certificate against ``trs``."""
     if cert.is_incremental:
         return check_incremental(list(cert.steps), trs)
     return check_certificate(cert.direct, trs)

@@ -18,14 +18,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .numeric import (
-    QuadExt,
-    Scalar,
-    as_scalar,
-    format_scalar,
-    quadext,
-    scalar_sign,
-)
+from .numeric import QuadExt, Scalar, as_scalar, quadext
 
 __all__ = [
     "Monomial",
@@ -129,14 +122,6 @@ class Poly:
         if not self.terms:
             return MINUS_INF
         return max(_mono_degree(m) for m in self.terms)
-
-    def degree_in(self, var: str) -> int:
-        deg = 0
-        for m in self.terms:
-            for v, e in m:
-                if v == var and e > deg:
-                    deg = e
-        return deg
 
     def coeff(self, m: Monomial | Mapping[str, int]) -> Scalar:
         if not isinstance(m, tuple):

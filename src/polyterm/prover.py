@@ -30,6 +30,14 @@ removes the most rules, breaking ties toward the canonically least one, so
 results do not depend on traversal order.  An exhaustion run enumerates the
 space to the end and counts every certificate in it; its report is a
 consistency statement, never a nonexistence proof.
+
+One DFS walks every space, with two hooks: a per-level one that prunes or
+passes a state down (strict compatibility for direct search and exhaustion;
+weak compatibility and a bound on strict failures for a removal step), and a
+leaf one.  Each space (one delta, one removal step) has one candidate table,
+filtered once per (arity, degree) and shared by a step's scout and picker.
+``budget_seconds`` is checked in set-up too (per candidate group, plan rule
+and pass-list candidate), not only every 512 nodes.
 """
 
 from __future__ import annotations
@@ -135,6 +143,15 @@ class IncrementalResult:
 
 class _BudgetExceeded(Exception):
     pass
+
+
+class _Found(Exception):
+    """Early exit from the DFS; ``args[0]`` is what was found."""
+
+
+def _check_deadline(deadline: float | None) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise _BudgetExceeded
 
 
 # -- coefficient grids -------------------------------------------------------
@@ -254,6 +271,46 @@ def _symbol_candidates(
     return out
 
 
+@dataclass(frozen=True)
+class _CandidateTable:
+    """The candidates of one search space, shared by every searcher over it."""
+
+    domain: DomainTag
+    require_weak: bool
+    shapes: list[dict[str, int]]
+    polys: dict[str, list[Poly]]  # per symbol name, in canonical order
+    degrees: dict[str, list[int]]  # the template degree of each candidate
+
+
+def _candidate_table(
+    trs: Trs,
+    domain: DomainTag,
+    cfg: SearchConfig,
+    require_weak: bool,
+    deadline: float | None,
+) -> _CandidateTable:
+    """Feasible shapes and per-symbol candidates of every feasible degree.
+
+    The candidates depend on a symbol's arity only, so each (arity, degree)
+    group is filtered once and shared by every symbol of that arity.
+    """
+    values = coefficient_grid(domain.kind, cfg)
+    shapes = _feasible_shapes(trs, cfg)
+    groups: dict[tuple[int, int], list[Poly]] = {}
+    polys: dict[str, list[Poly]] = {}
+    degrees: dict[str, list[int]] = {}
+    for sym in trs.signature:
+        polys[sym.name], degrees[sym.name] = [], []
+        for d in sorted({shape[sym.name] for shape in shapes}):
+            key = (sym.arity, d)
+            if key not in groups:
+                groups[key] = _symbol_candidates(sym, d, domain, values, require_weak)
+                _check_deadline(deadline)
+            polys[sym.name].extend(groups[key])
+            degrees[sym.name].extend([d] * len(groups[key]))
+    return _CandidateTable(domain, require_weak, shapes, polys, degrees)
+
+
 # -- the backtracking search engine --------------------------------------------
 
 
@@ -268,53 +325,39 @@ class _RuleSlot:
 
 
 class _Searcher:
-    """Joint enumeration over per-symbol candidate lists with rule pruning."""
+    """Joint enumeration over a candidate table with rule pruning.
+
+    Levels follow ``_plan_order`` when ``planned`` (fast full scans), else
+    the signature (canonical order, for first hits).
+    """
 
     def __init__(
         self,
         trs: Trs,
-        domain: DomainTag,
-        cfg: SearchConfig,
-        require_weak: bool,
-        order: str,  # "signature" (canonical first-found) | "coverage" (fast scans)
+        table: _CandidateTable,
+        planned: bool,
         deadline: float | None,
     ):
-        self.trs = trs
-        self.domain = domain
-        self.cfg = cfg
-        self.require_weak = require_weak
+        self.domain = table.domain
         self.deadline = deadline
         self.nodes = 0
 
-        values = coefficient_grid(domain.kind, cfg)
-        shapes = _feasible_shapes(trs, cfg)
-        by_symbol: dict[str, tuple[list[Poly], list[int]]] = {}
-        for sym in trs.signature:
-            degrees = sorted({shape[sym.name] for shape in shapes})
-            polys: list[Poly] = []
-            degs: list[int] = []
-            for d in degrees:
-                group = _symbol_candidates(sym, d, domain, values, require_weak)
-                polys.extend(group)
-                degs.extend([d] * len(group))
-            by_symbol[sym.name] = (polys, degs)
-
-        if order == "signature":
-            level_symbols = list(trs.signature)
-        else:
-            cand_map = {name: polys for name, (polys, _) in by_symbol.items()}
+        if planned:
+            mode = "weak" if table.require_weak else "strict"
             level_symbols = _plan_order(
-                trs, cand_map, domain, "weak" if require_weak else "strict"
+                trs, table.polys, table.domain, mode, deadline=deadline
             )
+        else:
+            level_symbols = list(trs.signature)
         self.symbols = level_symbols
         self.shape_tuples = {
-            tuple(shape[s.name] for s in level_symbols) for shape in shapes
+            tuple(shape[s.name] for s in level_symbols) for shape in table.shapes
         }
         self._prefixes = [
             {t[:k] for t in self.shape_tuples} for k in range(len(level_symbols) + 1)
         ]
-        self.cands = [by_symbol[s.name][0] for s in level_symbols]
-        self.cand_degrees = [by_symbol[s.name][1] for s in level_symbols]
+        self.cands = [table.polys[s.name] for s in level_symbols]
+        self.cand_degrees = [table.degrees[s.name] for s in level_symbols]
 
         level_of = {sym.name: lvl for lvl, sym in enumerate(level_symbols)}
         self.rules: list[_RuleSlot] = []
@@ -353,9 +396,6 @@ class _Searcher:
 
         self.table: dict[FunSym, Poly] = {}
         self.idx: list[int] = [-1] * len(level_symbols)
-        self.sig_pos = {
-            sym.name: i for i, sym in enumerate(trs.signature)
-        }
         self._compat_cache: dict[tuple, dict[tuple[int, ...], bool]] = {}
         self._eval_cache: dict[int, dict[tuple[int, ...], Poly]] = {}
         self._diff_cache: dict[int, dict[tuple[int, ...], Poly]] = {}
@@ -394,9 +434,8 @@ class _Searcher:
 
     def _tick(self):
         self.nodes += 1
-        if self.deadline is not None and self.nodes % 512 == 0:
-            if time.monotonic() > self.deadline:
-                raise _BudgetExceeded
+        if self.nodes % 512 == 0:
+            _check_deadline(self.deadline)
 
     def _level_candidates(self, level: int, mode: str) -> "list[int]":
         """Candidate indices at a level, pre-filtered by the driver rules.
@@ -414,6 +453,7 @@ class _Searcher:
             sym = self.symbols[level]
             passing = []
             for ci, poly in enumerate(self.cands[level]):
+                _check_deadline(self.deadline)
                 self.idx[level] = ci
                 self.table[sym] = poly
                 if all(self._compat(slot, mode) for slot in driver):
@@ -426,45 +466,46 @@ class _Searcher:
     def _shape_feasible(self, prefix_degrees: tuple[int, ...]) -> bool:
         return prefix_degrees in self._prefixes[len(prefix_degrees)]
 
-    def canonical_key(self) -> tuple[int, ...]:
-        """Candidate indices reordered to signature order, for tie-breaking."""
-        pairs = sorted(
-            range(len(self.symbols)),
-            key=lambda lvl: self.sig_pos[self.symbols[lvl].name],
-        )
-        return tuple(self.idx[lvl] for lvl in pairs)
+    def _descend(self, mode: str, visit, leaf) -> None:
+        """The one DFS over assignments, pruned by ``mode`` compatibility.
 
-    def iterate(self, prune_mode: str, on_leaf) -> None:
-        """DFS over assignments; prune with weak or strict compatibility."""
+        Each level walks its pass-list, skips infeasible degree shapes and
+        assigns the candidate; ``visit(level, state)`` then returns the
+        child's state, or None to prune the subtree.  ``leaf(state)`` runs
+        on every full assignment.  The root state is 0.
+        """
+        n = len(self.symbols)
 
-        def descend(level: int, degrees: tuple[int, ...]):
-            if level == len(self.symbols):
-                on_leaf()
+        def walk(level: int, degrees: tuple[int, ...], state) -> None:
+            if level == n:
+                leaf(state)
                 return
             sym = self.symbols[level]
             cands = self.cands[level]
             cand_degrees = self.cand_degrees[level]
-            for ci in self._level_candidates(level, prune_mode):
-                d = cand_degrees[ci]
-                new_degrees = degrees + (d,)
+            for ci in self._level_candidates(level, mode):
+                new_degrees = degrees + (cand_degrees[ci],)
                 if not self._shape_feasible(new_degrees):
                     continue
                 self._tick()
                 self.idx[level] = ci
                 self.table[sym] = cands[ci]
-                ok = all(
-                    self._compat(slot, prune_mode)
-                    for slot in self.other_rules[level]
-                )
-                if ok:
-                    descend(level + 1, new_degrees)
+                child = visit(level, state)
+                if child is not None:
+                    walk(level + 1, new_degrees, child)
             self.idx[level] = -1
             self.table.pop(sym, None)
 
-        if not self.symbols:
-            on_leaf()
-            return
-        descend(0, ())
+        walk(0, (), 0)
+
+    def iterate(self, prune_mode: str, on_leaf) -> None:
+        """DFS over assignments; prune with weak or strict compatibility."""
+
+        def visit(level: int, state):
+            ok = all(self._compat(slot, prune_mode) for slot in self.other_rules[level])
+            return state if ok else None
+
+        self._descend(prune_mode, visit, lambda state: on_leaf())
 
     def scan_removal(
         self, target: int | None = None
@@ -480,71 +521,39 @@ class _Searcher:
         With a ``target``: return the first interpretation reaching it, or
         None.  Run on a signature-ordered searcher, depth-first order is
         canonical-key order, so the first hit is the canonically least.
+        The DFS state is the number of strict failures so far.
         """
         total = len(self.rules)
         best_score = 0
-        n = len(self.symbols)
 
-        class _Hit(Exception):
-            pass
+        def visit(level: int, fails: int):
+            for slot in self.driver_rules[level]:
+                if not self._compat(slot, "strict"):
+                    fails += 1
+            for slot in self.other_rules[level]:
+                if not self._compat(slot, "weak"):
+                    return None
+                if not self._compat(slot, "strict"):
+                    fails += 1
+            needed = target if target is not None else best_score + 1
+            return fails if total - fails >= max(needed, 1) else None
 
-        found: list = []
-
-        def descend(level: int, degrees: tuple[int, ...], fails: int):
+        def leaf(fails: int) -> None:
             nonlocal best_score
-            if level == n:
-                score = total - fails
-                if target is not None:
-                    if score == target:
-                        strict = tuple(
-                            slot.index
-                            for slot in self.rules
-                            if self._compat(slot, "strict")
-                        )
-                        found.append((self.interp_from_state(), strict))
-                        raise _Hit
-                elif score > best_score:
-                    best_score = score
-                return
-            sym = self.symbols[level]
-            cands = self.cands[level]
-            cand_degrees = self.cand_degrees[level]
-            for ci in self._level_candidates(level, "weak"):
-                d = cand_degrees[ci]
-                new_degrees = degrees + (d,)
-                if not self._shape_feasible(new_degrees):
-                    continue
-                self._tick()
-                self.idx[level] = ci
-                self.table[sym] = cands[ci]
-                new_fails = fails
-                ok = True
-                for slot in self.driver_rules[level]:
-                    if not self._compat(slot, "strict"):
-                        new_fails += 1
-                for slot in self.other_rules[level]:
-                    if not self._compat(slot, "weak"):
-                        ok = False
-                        break
-                    if not self._compat(slot, "strict"):
-                        new_fails += 1
-                if ok:
-                    optimistic = total - new_fails
-                    needed = target if target is not None else best_score + 1
-                    if optimistic >= max(needed, 1):
-                        descend(level + 1, new_degrees, new_fails)
-            self.idx[level] = -1
-            self.table.pop(sym, None)
+            score = total - fails
+            if target is None:
+                best_score = max(best_score, score)
+            elif score == target:
+                strict = tuple(
+                    slot.index for slot in self.rules if self._compat(slot, "strict")
+                )
+                raise _Found((self.interp_from_state(), strict))
 
-        if n == 0:
-            return None if target is not None else 0
         try:
-            descend(0, (), 0)
-        except _Hit:
-            pass
-        if target is not None:
-            return found[0] if found else None
-        return best_score
+            self._descend("weak", visit, leaf)
+        except _Found as hit:
+            return hit.args[0]
+        return best_score if target is None else None
 
     def interp_from_state(self) -> Interp:
         return Interp(self.domain, dict(self.table))
@@ -578,6 +587,8 @@ def _plan_order(
     candidates: Mapping[str, list[Poly]],
     domain: DomainTag,
     mode: str,
+    *,
+    deadline: float | None = None,
 ) -> list[FunSym]:
     """Level order minimizing estimated enumeration volume.
 
@@ -601,6 +612,7 @@ def _plan_order(
             mask |= 1 << symbols.index(s)
         sigma = _rule_selectivity(rule, candidates, domain, mode, rng)
         rule_masks.append((mask, sigma))
+        _check_deadline(deadline)
 
     counts = [max(1, len(candidates[s.name])) for s in symbols]
     full = (1 << n) - 1
@@ -669,47 +681,41 @@ def search_direct(trs: Trs, domain, cfg: SearchConfig) -> SearchResult:
     deadline = _deadline(cfg)
     nodes = 0
     for tag in _domains_to_try(domain, cfg):
-        searcher = _Searcher(
-            trs, tag, cfg, require_weak=False, order="signature", deadline=deadline,
-        )
-        found: list[Interp] = []
+        searcher = None
 
         def grab():
-            found.append(searcher.interp_from_state())
-            raise _Found
+            raise _Found(searcher.interp_from_state())
 
         try:
+            table = _candidate_table(trs, tag, cfg, False, deadline)
+            searcher = _Searcher(trs, table, planned=False, deadline=deadline)
             searcher.iterate("strict", grab)
-        except _Found:
-            pass
+        except _Found as hit:
+            return SearchResult("found", hit.args[0], nodes=nodes + searcher.nodes,
+                                elapsed=time.monotonic() - start)
         except _BudgetExceeded:
-            return SearchResult("budget", nodes=nodes + searcher.nodes,
+            used = searcher.nodes if searcher is not None else 0
+            return SearchResult("budget", nodes=nodes + used,
                                 elapsed=time.monotonic() - start)
         nodes += searcher.nodes
-        if found:
-            return SearchResult(
-                "found", found[0], nodes=nodes, elapsed=time.monotonic() - start
-            )
     return SearchResult("exhausted", nodes=nodes, elapsed=time.monotonic() - start)
-
-
-class _Found(Exception):
-    pass
 
 
 def _best_step(
     trs: Trs, tag: DomainTag, cfg: SearchConfig, deadline: float | None
 ) -> "tuple[tuple[Interp, tuple[int, ...]] | None, int]":
-    """The valid interpretation removing the most rules (ties: least key)."""
-    scout = _Searcher(
-        trs, tag, cfg, require_weak=True, order="planned", deadline=deadline,
-    )
+    """The valid interpretation removing the most rules (ties: least key).
+
+    A planned scout finds the best score, then a signature-ordered picker
+    finds the canonically least interpretation reaching it; both read one
+    candidate table.
+    """
+    table = _candidate_table(trs, tag, cfg, True, deadline)
+    scout = _Searcher(trs, table, planned=True, deadline=deadline)
     top = scout.scan_removal()
     if not top:
         return None, scout.nodes
-    picker = _Searcher(
-        trs, tag, cfg, require_weak=True, order="signature", deadline=deadline,
-    )
+    picker = _Searcher(trs, table, planned=False, deadline=deadline)
     choice = picker.scan_removal(target=top)
     return choice, scout.nodes + picker.nodes
 
@@ -722,19 +728,19 @@ def search_incremental(trs: Trs, domain, cfg: SearchConfig) -> IncrementalResult
     steps: list[tuple[Interp, tuple[int, ...]]] = []
     residual = trs
     nodes = 0
+
+    def result(status: str, proof: IncrementalProof | None = None) -> IncrementalResult:
+        return IncrementalResult(status, proof, nodes, time.monotonic() - start)
+
     while residual.rules:
         if len(steps) >= cfg.max_steps:
-            return IncrementalResult(
-                "no-progress", nodes=nodes, elapsed=time.monotonic() - start
-            )
+            return result("no-progress")
         best_choice = None
         for tag in tags:
             try:
                 choice, used = _best_step(residual, tag, cfg, deadline)
             except _BudgetExceeded:
-                return IncrementalResult(
-                    "budget", nodes=nodes, elapsed=time.monotonic() - start
-                )
+                return result("budget")
             nodes += used
             if choice is not None:
                 removed = choice[1]
@@ -743,17 +749,12 @@ def search_incremental(trs: Trs, domain, cfg: SearchConfig) -> IncrementalResult
                 if len(removed) == len(residual.rules):
                     break
         if best_choice is None:
-            return IncrementalResult(
-                "no-progress", nodes=nodes, elapsed=time.monotonic() - start
-            )
+            return result("no-progress")
         interp, removed = best_choice
         steps.append((interp, removed))
         keep = [i for i in range(len(residual.rules)) if (i + 1) not in removed]
         residual = residual.subsystem(keep)
-    proof = IncrementalProof(tuple(steps))
-    return IncrementalResult(
-        "found", proof, nodes=nodes, elapsed=time.monotonic() - start
-    )
+    return result("found", IncrementalProof(tuple(steps)))
 
 
 def check_incremental(proof, trs: Trs, domain=None) -> CheckReport:
@@ -834,9 +835,7 @@ def exhaustion_report(
     nodes = 0
     complete = True
     for tag in _domains_to_try(domain, cfg):
-        searcher = _Searcher(
-            trs, tag, cfg, require_weak=False, order="planned", deadline=deadline,
-        )
+        searcher = None
 
         def leaf():
             nonlocal count
@@ -845,12 +844,15 @@ def exhaustion_report(
                 examples.append(repr(searcher.interp_from_state()))
 
         try:
+            table = _candidate_table(trs, tag, cfg, False, deadline)
+            searcher = _Searcher(trs, table, planned=True, deadline=deadline)
             searcher.iterate("strict", leaf)
         except _BudgetExceeded:
             complete = False
+        if searcher is not None:
             nodes += searcher.nodes
+        if not complete:
             break
-        nodes += searcher.nodes
     return ExhaustionReport(
         trs.name or "trs",
         kind,

@@ -4,6 +4,7 @@ import itertools
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,13 +12,20 @@ import pytest
 import polyterm
 
 from polyterm.corpus import load_certificate, load_trs
-from polyterm.interp import Interp, check_certificate, check_monotone, check_well_defined
+from polyterm.interp import (
+    Interp,
+    check_certificate,
+    check_monotone,
+    check_well_defined,
+    step_conditions,
+)
 from polyterm.numeric import DomainTag, domain_n, domain_q
 from polyterm.poly import Poly, monomial, parse_poly
 from polyterm.prover import (
     IncrementalProof,
     SearchConfig,
     _candidate_permissible,
+    _symbol_candidates,
     check_incremental,
     coefficient_grid,
     exhaustion_report,
@@ -98,6 +106,31 @@ def test_budget_is_reported():
     )
     res = search_incremental(r1, "Q", cfg)
     assert res.status == "budget"
+
+
+def test_budget_overshoot_is_bounded():
+    # the deadline is also checked while candidate lists, the level plan
+    # and pass-lists are built, not only every 512 DFS nodes
+    q = SearchConfig(
+        max_degree=2, max_coeff=4, denominators=(1, 2, 4),
+        deltas=(Fraction(1, 2), Fraction(1)), budget_seconds=0.05,
+    )
+    inc = SearchConfig(
+        max_degree=2, max_coeff=5, denominators=(1, 2), deltas=(Fraction(1),),
+        budget_seconds=0.05,
+    )
+    r1, r2 = load_trs("r1.trs"), load_trs("r2.trs")
+    runs = (
+        lambda: exhaustion_report(r1, "Q", q).line().split()[0],
+        lambda: exhaustion_report(r2, "Q", q).line().split()[0],
+        lambda: search_incremental(r1, "Q", inc).status,
+    )
+    for run in runs:
+        started = time.monotonic()
+        outcome = run()
+        elapsed = time.monotonic() - started
+        assert outcome in ("INCONCLUSIVE", "budget")
+        assert elapsed < 1.0, f"{outcome} after {elapsed:.2f}s"
 
 
 def test_check_incremental_accepts_shipped_proofs():
@@ -277,3 +310,75 @@ def test_plan_order_ignores_hash_seed():
         )
         outputs.add(run.stdout)
     assert len(outputs) == 1, outputs
+
+
+# -- brute-force oracle: the pruned DFS against unpruned enumeration -----------
+
+TWO_STEP = parse_trs("(VAR x) (RULES s(s(x)) -> h(x, s(0))  h(x, x) -> s(0))", name="two_step")
+SHIFT = parse_trs("(VAR x y) (RULES h(x, s(y)) -> h(s(x), y)  h(x, 0) -> x)", name="shift")
+_HALF = domain_q(Fraction(1, 2))
+
+
+def _unpruned(trs, domain, cfg, require_weak):
+    """Every assignment of the per-symbol candidate lists, in canonical order."""
+    values = coefficient_grid(domain.kind, cfg)
+    lists = [
+        [
+            poly
+            for d in ([0] if sym.arity == 0 else range(1, cfg.max_degree + 1))
+            for poly in _symbol_candidates(sym, d, domain, values, require_weak)
+        ]
+        for sym in trs.signature
+    ]
+    for polys in itertools.product(*lists):
+        yield Interp(domain, dict(zip(trs.signature, polys)))
+
+
+def _brute_step(trs, domain, cfg):
+    """The valid step removing the most rules; ties go to the first one."""
+    best = None
+    every_rule = tuple(range(1, len(trs.rules) + 1))
+    for interp in _unpruned(trs, domain, cfg, True):
+        conds = step_conditions(interp, trs, every_rule, 1, False)
+        if not all(c.verdict.is_proved for c in conds
+                   if c.required and c.kind != "strict-compat"):
+            continue
+        removed = tuple(c.rule_index for c in conds
+                        if c.kind == "strict-compat" and c.verdict.is_proved)
+        if removed and (best is None or len(removed) > len(best[1])):
+            best = (interp, removed)
+    return best
+
+
+def _brute_incremental(trs, domain, cfg):
+    """The greedy removal proof, every step chosen by ``_brute_step``."""
+    steps, residual = [], trs
+    while residual.rules and len(steps) < cfg.max_steps:
+        step = _brute_step(residual, domain, cfg)
+        if step is None:
+            break
+        steps.append(step)
+        residual = residual.subsystem(
+            [i for i in range(len(residual.rules)) if i + 1 not in step[1]]
+        )
+    return None if residual.rules else IncrementalProof(tuple(steps))
+
+
+@pytest.mark.parametrize(
+    "trs, domain, cfg",
+    [
+        (SINGLE, domain_n(), SearchConfig(max_degree=2, max_coeff=2)),
+        (SINGLE, _HALF, SearchConfig(max_degree=2, max_coeff=1, denominators=(1, 2))),
+        (load_trs("r3.trs"), domain_n(), SearchConfig(max_degree=1, max_coeff=2)),
+        (SHIFT, domain_n(), SearchConfig(max_degree=1, max_coeff=2)),
+        (TWO_STEP, _HALF, SearchConfig(max_degree=1, max_coeff=2)),
+    ],
+    ids=["single-N", "single-Q", "r3-N", "shift-N", "two_step-Q"],
+)
+def test_search_matches_unpruned_enumeration(trs, domain, cfg):
+    # the kernel decides every assignment; no shape or rule pruning
+    hits = [i for i in _unpruned(trs, domain, cfg, False) if check_certificate(i, trs).accepted]
+    rep = exhaustion_report(trs, domain, cfg)
+    assert rep.complete and rep.cert_count == len(hits)
+    assert search_direct(trs, domain, cfg).interp == (hits[0] if hits else None)
+    assert search_incremental(trs, domain, cfg).proof == _brute_incremental(trs, domain, cfg)
