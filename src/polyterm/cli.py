@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .corpus import check_corpus_certificate, verify_all
 from .interp import Certificate, format_certificate, parse_certificate
-from .numeric import parse_scalar
+from .poly import parse_scalar
 from .prover import (
     SearchConfig,
     exhaustion_report,
@@ -141,8 +141,11 @@ def _cmd_prove(args) -> tuple[int, str]:
         return 1, not_found
     text = format_certificate(cert)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _UsageError(f"cannot write {args.out}: {exc}") from exc
     return 0, "VERDICT found\n" + text.rstrip("\n")
 
 

@@ -48,10 +48,9 @@ from .numeric import (
     as_scalar,
     format_scalar,
     is_integer,
-    parse_scalar,
     scalar_sign,
 )
-from .poly import Poly, format_poly, monomial, parse_poly
+from .poly import Poly, format_poly, monomial, parse_poly, parse_scalar
 from .positivity import Verdict, excess_at_least, nonneg_on
 from .trs import MAX_NESTING, FunSym, Rule, Term, Trs, Var, term_symbols
 
@@ -647,13 +646,9 @@ def _parse_domain(form) -> DomainTag:
             d = int(sub[1])
         else:
             raise ValueError(f"unknown domain attribute {sub[0]!r}")
-    if kind == "Q":
-        if d is not None:
-            raise ValueError("domain Q carries no radicand")
-        return DomainTag("Q", delta)
-    if kind == "R":
-        return DomainTag("R", delta, d)
-    raise ValueError(f"unknown domain {kind!r}")
+    if kind not in ("Q", "R"):
+        raise ValueError(f"unknown domain {kind!r}")
+    return DomainTag(kind, delta, d)
 
 
 def _parse_interp(domain_form, interp_form) -> Interp:

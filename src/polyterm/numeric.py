@@ -3,19 +3,18 @@
 Scalars are the coefficient domain of everything else in this package.  A
 scalar is either a ``fractions.Fraction`` (exact rational, arbitrary
 precision) or a :class:`QuadExt` value ``a + b*sqrt(d)`` with rational a, b
-and a fixed square-free integer d >= 2.  All operations are exact; no
-floating point is used anywhere, in particular not for sign determination.
+and a fixed square-free radicand 2 <= d <= MAX_RADICAND.  All operations
+are exact; no floating point is used anywhere, in particular not for sign
+determination.
 
-The text syntax (shared by every file format of the package) is::
-
-    -3        5/2        1+2*sqrt(2)        -1/2*sqrt(3)
-
-Whitespace is insignificant and ``sqrt(d)`` takes a positive integer literal.
+Arithmetic and order are the operators of ``Fraction`` and :class:`QuadExt`;
+:func:`scalar_sign` is the one exact sign test under them.  A scalar's text
+is a constant polynomial: ``poly.parse_scalar`` reads it and
+:func:`format_scalar` prints it.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -24,32 +23,17 @@ __all__ = [
     "Scalar",
     "QuadExt",
     "DomainTag",
+    "MAX_RADICAND",
     "quadext",
-    "rat_make",
     "is_square_free",
-    "scalar_add",
-    "scalar_sub",
-    "scalar_mul",
-    "scalar_div",
     "scalar_sign",
-    "scalar_abs",
-    "scalar_cmp",
     "as_scalar",
-    "is_rational",
     "is_integer",
-    "parse_scalar",
     "format_scalar",
     "domain_n",
     "domain_q",
     "domain_r",
 ]
-
-
-def rat_make(num: int, den: int = 1) -> Fraction:
-    """Build the reduced rational num/den; den = 0 raises ZeroDivisionError."""
-    if den == 0:
-        raise ZeroDivisionError("rational with zero denominator")
-    return Fraction(num, den)
 
 
 def is_square_free(d: int) -> bool:
@@ -66,6 +50,17 @@ def is_square_free(d: int) -> bool:
     return True
 
 
+# Bounds the trial division of is_square_free to sqrt(MAX_RADICAND) = 1,000
+# steps, so a hostile radicand is rejected at once instead of factored.
+MAX_RADICAND = 10**6
+
+
+def _check_radicand(d: int) -> None:
+    """The one radicand check of QuadExt and DomainTag."""
+    if not 2 <= d <= MAX_RADICAND or not is_square_free(d):
+        raise ValueError(f"radicand must be square-free in [2, {MAX_RADICAND}], got {d}")
+
+
 class QuadExt:
     """An element a + b*sqrt(d) of the real quadratic field Q(sqrt(d)).
 
@@ -79,8 +74,7 @@ class QuadExt:
     def __init__(self, a, b, d: int):
         a = Fraction(a)
         b = Fraction(b)
-        if d < 2 or not is_square_free(d):
-            raise ValueError(f"radicand must be square-free and >= 2, got {d}")
+        _check_radicand(d)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "d", d)
@@ -149,7 +143,7 @@ class QuadExt:
 
     def __rtruediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return scalar_div(Fraction(other), self)
+            return Fraction(other) * self.inverse()
         return NotImplemented
 
     def __neg__(self):
@@ -173,7 +167,7 @@ class QuadExt:
         return hash((self.a, self.b, self.d))
 
     def _cmp(self, other) -> int:
-        return scalar_sign(scalar_sub(self, other))
+        return scalar_sign(self - other)
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -212,32 +206,8 @@ def as_scalar(x) -> Scalar:
     return Fraction(x)
 
 
-def is_rational(x: Scalar) -> bool:
-    return not isinstance(x, QuadExt)
-
-
 def is_integer(x: Scalar) -> bool:
     return isinstance(x, (int, Fraction)) and Fraction(x).denominator == 1
-
-
-def scalar_add(x: Scalar, y: Scalar) -> Scalar:
-    return x + y
-
-
-def scalar_sub(x: Scalar, y: Scalar) -> Scalar:
-    return x - y
-
-
-def scalar_mul(x: Scalar, y: Scalar) -> Scalar:
-    return x * y
-
-
-def scalar_div(x: Scalar, y: Scalar) -> Scalar:
-    if scalar_sign(y) == 0:
-        raise ZeroDivisionError("scalar division by zero")
-    if isinstance(y, QuadExt):
-        return scalar_mul(x, y.inverse())
-    return x / y
 
 
 def scalar_sign(x: Scalar) -> int:
@@ -265,92 +235,6 @@ def scalar_sign(x: Scalar) -> int:
     return sa if lhs > rhs else sb
 
 
-def scalar_abs(x: Scalar) -> Scalar:
-    return -x if scalar_sign(x) < 0 else x
-
-
-def scalar_cmp(x: Scalar, y: Scalar) -> int:
-    return scalar_sign(scalar_sub(x, y))
-
-
-# -- text format -----------------------------------------------------------
-
-_TOKEN = re.compile(r"\s*([0-9]+|sqrt|[()+*/-])")
-
-
-def _tokenize_scalar(text: str) -> list[str]:
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip() == "":
-                break
-            raise ValueError(f"bad scalar syntax near {text[pos:]!r}")
-        out.append(m.group(1))
-        pos = m.end()
-    return out
-
-
-def parse_scalar(text: str) -> Scalar:
-    """Parse the scalar text syntax; inverse of :func:`format_scalar`."""
-    toks = _tokenize_scalar(text)
-    if not toks:
-        raise ValueError("empty scalar")
-    pos = 0
-
-    def peek():
-        return toks[pos] if pos < len(toks) else None
-
-    def take(expect=None):
-        nonlocal pos
-        if pos >= len(toks):
-            raise ValueError(f"unexpected end of scalar {text!r}")
-        t = toks[pos]
-        if expect is not None and t != expect:
-            raise ValueError(f"expected {expect!r}, got {t!r} in {text!r}")
-        pos += 1
-        return t
-
-    def parse_rat() -> Fraction:
-        num = int(take())
-        if peek() == "/":
-            take("/")
-            den = int(take())
-            return rat_make(num, den)
-        return Fraction(num)
-
-    def parse_term() -> Scalar:
-        # term := rat [* sqrt(d)] | sqrt(d)
-        if peek() == "sqrt":
-            take("sqrt")
-            take("(")
-            d = int(take())
-            take(")")
-            return quadext(0, 1, d)
-        coeff = parse_rat()
-        if peek() == "*":
-            take("*")
-            take("sqrt")
-            take("(")
-            d = int(take())
-            take(")")
-            return quadext(0, coeff, d)
-        return coeff
-
-    total: Scalar = Fraction(0)
-    sign = 1
-    if peek() in ("+", "-"):
-        sign = -1 if take() == "-" else 1
-    total = scalar_add(total, scalar_mul(Fraction(sign), parse_term()))
-    while peek() in ("+", "-"):
-        sign = -1 if take() == "-" else 1
-        total = scalar_add(total, scalar_mul(Fraction(sign), parse_term()))
-    if pos != len(toks):
-        raise ValueError(f"trailing tokens in scalar {text!r}")
-    return total
-
-
 def _format_rat(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
@@ -358,7 +242,7 @@ def _format_rat(x: Fraction) -> str:
 
 
 def format_scalar(x: Scalar) -> str:
-    """Render a scalar in the canonical text syntax (round-trips exactly)."""
+    """Render a scalar as canonical text; ``poly.parse_scalar`` reads it back."""
     if not isinstance(x, QuadExt):
         return _format_rat(Fraction(x))
     parts = []
@@ -401,10 +285,10 @@ class DomainTag:
             if self.kind == "Q":
                 if self.d is not None:
                     raise ValueError("domain Q carries no radicand")
-                if not is_rational(self.delta):
+                if isinstance(self.delta, QuadExt):
                     raise ValueError("domain Q needs a rational delta")
-            if self.d is not None and (self.d < 2 or not is_square_free(self.d)):
-                raise ValueError(f"radicand must be square-free >= 2, got {self.d}")
+            if self.d is not None:
+                _check_radicand(self.d)
 
     @property
     def base(self) -> str:

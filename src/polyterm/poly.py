@@ -7,9 +7,16 @@ polynomial is the empty map).  This sparse form suits the package: every
 polynomial that occurs has degree at most two in a handful of variables.
 
 Text syntax, e.g. ``2*x1^2 - x1`` or ``x1 + x2 + 1/2`` or ``sqrt(2)*x1 + 1``:
-a sum of terms, each a product of an optional scalar coefficient and
-variables with optional ``^`` exponents.  Printing uses graded lexicographic
-order, so parse/print round-trips to a canonical form.
+a sum of terms, each a product of factors.  A factor is an integer literal
+``n``, a fraction ``n/m``, a root ``sqrt(d)`` of an integer literal, or a
+variable with an optional ``^`` exponent; whitespace is insignificant.  The
+total degree of one term is at most MAX_DEGREE.  Printing uses graded
+lexicographic order, so parse/print round-trips to a canonical form.
+
+This is the one text syntax of the package.  A scalar (a coefficient, a
+delta) is a polynomial with no variables, e.g. ``-3``, ``5/2``,
+``1+2*sqrt(2)`` or ``-1/2*sqrt(3)``, read by :func:`parse_scalar` and
+printed by ``numeric.format_scalar``.
 """
 
 from __future__ import annotations
@@ -18,20 +25,27 @@ import re
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .numeric import QuadExt, Scalar, as_scalar, quadext
+from .numeric import QuadExt, Scalar, as_scalar, format_scalar, quadext
 
 __all__ = [
     "Monomial",
     "Poly",
     "MINUS_INF",
+    "MAX_DEGREE",
     "monomial",
     "parse_poly",
+    "parse_scalar",
     "format_poly",
 ]
 
 Monomial = "tuple[tuple[str, int], ...]"
 
 MINUS_INF = float("-inf")  # degree of the zero polynomial
+
+# Total degree allowed in one term of parsed text.  Composition multiplies
+# degrees, so an unbounded exponent in a certificate makes checking a nested
+# rule run for minutes; the search and the corpus stay at degree 2.
+MAX_DEGREE = 64
 
 
 def monomial(exps: Mapping[str, int] | Iterable[tuple[str, int]]) -> Monomial:
@@ -307,20 +321,16 @@ def format_poly(p: Poly) -> str:
             factors.insert(0, f"sqrt({d})")
         mag = abs(coeff)
         if not factors:
-            body = _fmt_rat(mag)
+            body = format_scalar(mag)
         elif mag == 1:
             body = "*".join(factors)
         else:
-            body = "*".join([_fmt_rat(mag)] + factors)
+            body = "*".join([format_scalar(mag)] + factors)
         if not chunks:
             chunks.append(body if coeff > 0 else "-" + body)
         else:
             chunks.append(("+ " if coeff > 0 else "- ") + body)
     return " ".join(chunks)
-
-
-def _fmt_rat(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 _POLY_TOKEN = re.compile(
@@ -399,6 +409,8 @@ def parse_poly(text: str, variables: Iterable[str] | None = None) -> Poly:
                 take("*")
                 continue
             break
+        if sum(exps.values()) > MAX_DEGREE:
+            raise ValueError(f"term of degree above {MAX_DEGREE} in {text!r}")
         return Poly({monomial(exps): coeff})
 
     acc = Poly()
@@ -412,3 +424,8 @@ def parse_poly(text: str, variables: Iterable[str] | None = None) -> Poly:
     if i != len(toks):
         raise ValueError(f"trailing tokens in polynomial {text!r}")
     return acc
+
+
+def parse_scalar(text: str) -> Scalar:
+    """Parse a scalar: a polynomial text with no variables."""
+    return parse_poly(text, variables=()).constant()

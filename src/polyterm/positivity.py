@@ -9,12 +9,13 @@ package reduces to "p >= 0 on the whole carrier".  The decision ladder:
    a >= 0 and c >= 0 and (b >= 0 or b^2 <= 4ac), with an exact witness
    (the vertex -b/2a, or a large enough point) when it fails;
 4. over N: shifted absolute positiveness -- p(x1+s, ..., xn+s) has only
-   nonnegative coefficients for some s <= shift_bound, and the region where
-   some coordinate stays below s is covered by pinning each variable to
-   each value in {0, .., s-1} and deciding the rest recursively (for
-   univariate p that is just a finite point check);
+   nonnegative coefficients for some s <= DEFAULT_SHIFT_BOUND, and the
+   region where some coordinate stays below s is covered by pinning each
+   variable to each value in {0, .., s-1} and deciding the rest recursively
+   (for univariate p that is just a finite point check);
 5. counterexample sampling on a rational grid (denominator-major order,
-   denominators 1,2,4,8, numerators 0..32; integers 0..32 over N);
+   denominators 1,2,4,8, numerators 0..32; integers 0..32 over N), at most
+   SAMPLE_CAP points;
 6. otherwise Unknown -- a value, not an error: the caller must distinguish
    "disproved" from "this ladder is too weak".
 
@@ -30,7 +31,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Mapping
 
-from .numeric import Scalar, as_scalar, format_scalar, scalar_div, scalar_sign
+from .numeric import Scalar, as_scalar, format_scalar, scalar_sign
 from .poly import Poly
 
 __all__ = [
@@ -122,7 +123,7 @@ def _quad_witness(p: Poly, var: str, a: Scalar, b: Scalar, c: Scalar):
             x *= 2
         return x
     # a > 0, b < 0, b^2 > 4ac: the vertex is in (0, oo) and negative there
-    return scalar_div(-b, 2 * a)
+    return -b / (2 * a)
 
 
 def _grid_sequence(base: str) -> list[Scalar]:
@@ -136,13 +137,13 @@ def _grid_sequence(base: str) -> list[Scalar]:
     return seq
 
 
-def _grid_search(p: Poly, base: str, cap: int) -> Verdict | None:
+def _grid_search(p: Poly, base: str) -> Verdict | None:
     variables = p.variables()
     seq = _grid_sequence(base)
     count = 0
     for point in itertools.product(seq, repeat=len(variables)):
         count += 1
-        if count > cap:
+        if count > SAMPLE_CAP:
             return None
         binding = dict(zip(variables, point))
         value = p.eval(binding)
@@ -151,7 +152,7 @@ def _grid_search(p: Poly, base: str, cap: int) -> Verdict | None:
     return None
 
 
-def _below_shift_nonneg(p: Poly, variables: list[str], s: int, shift_bound: int) -> bool:
+def _below_shift_nonneg(p: Poly, variables: list[str], s: int) -> bool:
     """p >= 0 on the part of N^n where some coordinate is below s.
 
     Each variable is pinned to each value in {0, .., s-1} in turn and the
@@ -163,27 +164,22 @@ def _below_shift_nonneg(p: Poly, variables: list[str], s: int, shift_bound: int)
             pinned = p.compose(
                 {w: (Poly.const(v) if w == var else Poly.var(w)) for w in variables}
             )
-            if not nonneg_on(pinned, "N", shift_bound).is_proved:
+            if not nonneg_on(pinned, "N").is_proved:
                 return False
     return True
 
 
-def _shifted_nonneg_n(p: Poly, shift_bound: int) -> Verdict | None:
+def _shifted_nonneg_n(p: Poly) -> Verdict | None:
     variables = p.variables()
-    for s in range(1, shift_bound + 1):
+    for s in range(1, DEFAULT_SHIFT_BOUND + 1):
         shifted = p.compose({v: Poly.var(v) + Poly.const(s) for v in variables})
         if all(scalar_sign(c) >= 0 for c in shifted.coeffs()):
-            if _below_shift_nonneg(p, variables, s, shift_bound):
+            if _below_shift_nonneg(p, variables, s):
                 return Verdict.proved(f"shifted-absolute-positiveness(s={s})")
     return None
 
 
-def nonneg_on(
-    p: Poly,
-    base: str,
-    shift_bound: int = DEFAULT_SHIFT_BOUND,
-    sample_cap: int = SAMPLE_CAP,
-) -> Verdict:
+def nonneg_on(p: Poly, base: str) -> Verdict:
     """Decide or refute p >= 0 on the carrier ("N", "Q0" or "R0")."""
     if base not in _BASES:
         raise ValueError(f"unknown carrier {base!r}")
@@ -209,11 +205,11 @@ def nonneg_on(
         return Verdict.disproved({var: x}, p.eval({var: x}))
 
     if base == "N":
-        verdict = _shifted_nonneg_n(p, shift_bound)
+        verdict = _shifted_nonneg_n(p)
         if verdict is not None:
             return verdict
 
-    found = _grid_search(p, base, sample_cap)
+    found = _grid_search(p, base)
     if found is not None:
         return found
 

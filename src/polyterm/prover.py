@@ -42,7 +42,6 @@ and pass-list candidate), not only every 512 nodes.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 import time
@@ -60,7 +59,7 @@ from .interp import (
     eval_term_with,
     step_conditions,
 )
-from .numeric import DomainTag, Scalar, as_scalar, format_scalar, quadext, scalar_abs, scalar_cmp, scalar_sign
+from .numeric import DomainTag, Scalar, as_scalar, format_scalar, quadext, scalar_sign
 from .poly import Poly, monomial
 from .positivity import Verdict, excess_at_least, nonneg_on
 from .trs import FunSym, Rule, Term, Trs, Var, term_symbols
@@ -76,6 +75,9 @@ __all__ = [
     "check_incremental",
     "exhaustion_report",
 ]
+
+_SELECTIVITY_SAMPLES = 160  # random candidate tuples per rule in _plan_order
+_KEPT_EXAMPLES = 3  # certificates an exhaustion report prints
 
 
 @dataclass(frozen=True)
@@ -157,16 +159,6 @@ def _check_deadline(deadline: float | None) -> None:
 # -- coefficient grids -------------------------------------------------------
 
 
-def _value_sort_key():
-    def cmp(u: Scalar, v: Scalar) -> int:
-        c = scalar_cmp(scalar_abs(u), scalar_abs(v))
-        if c != 0:
-            return c
-        return -scalar_cmp(u, v)  # positive before negative
-
-    return functools.cmp_to_key(cmp)
-
-
 def coefficient_grid(domain_kind: str, cfg: SearchConfig) -> list[Scalar]:
     """Grid values in canonical order (by magnitude, positive first)."""
     values: set[Scalar] = set()
@@ -183,7 +175,7 @@ def coefficient_grid(domain_kind: str, cfg: SearchConfig) -> list[Scalar]:
             for a in rationals:
                 for b in rationals:
                     values.add(quadext(a, b, cfg.sqrt_d))
-    return sorted(values, key=_value_sort_key())
+    return sorted(values, key=lambda v: (abs(v), -v))
 
 
 # -- degree shapes -----------------------------------------------------------
@@ -398,7 +390,6 @@ class _Searcher:
         self.idx: list[int] = [-1] * len(level_symbols)
         self._compat_cache: dict[tuple, dict[tuple[int, ...], bool]] = {}
         self._eval_cache: dict[int, dict[tuple[int, ...], Poly]] = {}
-        self._diff_cache: dict[int, dict[tuple[int, ...], Poly]] = {}
 
     # cache key: candidate indices of the rule's symbols only
     def _rule_key(self, slot: _RuleSlot) -> tuple[int, ...]:
@@ -419,13 +410,9 @@ class _Searcher:
         hit = cache.get(key)
         if hit is not None:
             return hit
-        diffs = self._diff_cache.setdefault(slot.index, {})
-        diff = diffs.get(key)
-        if diff is None:
-            lhs = self._eval_side(slot.rule.lhs, slot.lhs_levels)
-            rhs = self._eval_side(slot.rule.rhs, slot.rhs_levels)
-            diff = lhs - rhs
-            diffs[key] = diff
+        lhs = self._eval_side(slot.rule.lhs, slot.lhs_levels)
+        rhs = self._eval_side(slot.rule.rhs, slot.rhs_levels)
+        diff = lhs - rhs
         if mode == "strict":
             diff = diff - Poly.const(self.domain.strict_margin)
         ok = nonneg_on(diff, self.domain.base).is_proved
@@ -565,7 +552,6 @@ def _rule_selectivity(
     domain: DomainTag,
     mode: str,
     rng: random.Random,
-    samples: int = 160,
 ) -> float:
     """Estimated pass rate of one compatibility check over random candidates."""
     syms = list(dict.fromkeys(s for t in (rule.lhs, rule.rhs) for s in term_symbols(t)))
@@ -573,13 +559,13 @@ def _rule_selectivity(
         return 0.0
     margin = _margin(mode, domain)
     passed = 0
-    for _ in range(samples):
+    for _ in range(_SELECTIVITY_SAMPLES):
         table = {s: rng.choice(candidates[s.name]) for s in syms}
         lhs = eval_term_with(table, rule.lhs)
         rhs = eval_term_with(table, rule.rhs)
         if excess_at_least(lhs, rhs, margin, domain.base).is_proved:
             passed += 1
-    return (passed + 1) / (samples + 2)
+    return (passed + 1) / (_SELECTIVITY_SAMPLES + 2)
 
 
 def _plan_order(
@@ -823,9 +809,7 @@ class ExhaustionReport:
         return "\n".join(out)
 
 
-def exhaustion_report(
-    trs: Trs, domain, cfg: SearchConfig, keep_examples: int = 3
-) -> ExhaustionReport:
+def exhaustion_report(trs: Trs, domain, cfg: SearchConfig) -> ExhaustionReport:
     """Enumerate the whole space, counting every direct certificate in it."""
     start = time.monotonic()
     deadline = _deadline(cfg)
@@ -840,7 +824,7 @@ def exhaustion_report(
         def leaf():
             nonlocal count
             count += 1
-            if len(examples) < keep_examples:
+            if len(examples) < _KEPT_EXAMPLES:
                 examples.append(repr(searcher.interp_from_state()))
 
         try:

@@ -23,8 +23,8 @@ from polyterm.interp import (
     qr_quad_strict_permissible,
     qr_quad_weak_permissible,
 )
-from polyterm.numeric import DomainTag, domain_n, parse_scalar, scalar_sign
-from polyterm.poly import Poly, parse_poly
+from polyterm.numeric import DomainTag, domain_n, scalar_sign
+from polyterm.poly import Poly, parse_poly, parse_scalar
 from polyterm.positivity import nonneg_on
 from polyterm.prover import (
     IncrementalProof,

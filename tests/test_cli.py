@@ -137,6 +137,9 @@ def test_prove_incremental(tmp_path):
 def test_unknown_flag_is_usage_error():
     assert run_cli(["prove", "--nope"]).exit_code == 3
     assert run_cli([]).exit_code == 3
+    for delta in ("x", "1/0"):
+        prove = ["prove", "--trs", str(DATA / "r1.trs"), "--domain", "Q", "--delta", delta]
+        assert run_cli(prove).exit_code == 3
 
 
 def test_corpus_verify():
@@ -149,3 +152,47 @@ def test_stdout_stable_across_runs():
     a = run_cli(["check", "--trs", str(DATA / "r2.trs"), "--cert", str(DATA / "r2_real.cert")])
     b = run_cli(["check", "--trs", str(DATA / "r2.trs"), "--cert", str(DATA / "r2_real.cert")])
     assert a.text == b.text and a.exit_code == b.exit_code == 0
+
+
+def _single_trs(tmp_path):
+    trs = tmp_path / "single.trs"
+    trs.write_text("(VAR x)\n(RULES f(x) -> x)\n")
+    return trs
+
+
+def test_huge_radicand_is_usage_error(tmp_path):
+    huge = "1000000000000000003"  # trial division up to its root takes minutes
+    cert = tmp_path / "huge.cert"
+    cert.write_text(f"(DOMAIN R (DELTA 1) (SQRT {huge}))\n(INTERP (f (x1) x1 + 1))\n")
+    trs = _single_trs(tmp_path)
+    reports = [
+        run_cli(["check", "--trs", str(trs), "--cert", str(cert)]),
+        run_cli(["prove", "--trs", str(trs), "--domain", "R", "--delta", f"sqrt({huge})"]),
+    ]
+    for report in reports:
+        assert report.exit_code == 3
+        assert "radicand" in report.text
+        assert report.elapsed < 1.0
+
+
+def test_huge_exponent_is_usage_error(tmp_path):
+    trs = tmp_path / "nested.trs"
+    trs.write_text("(VAR)\n(RULES f(f(a)) -> b)\n")
+    cert = tmp_path / "huge.cert"
+    cert.write_text("(DOMAIN N)\n(INTERP (a () 0) (b () 0) (f (x1) x1^3000 + 1))\n")
+    report = run_cli(["check", "--trs", str(trs), "--cert", str(cert)])
+    assert report.exit_code == 3
+    assert "degree above 64" in report.text
+    assert report.elapsed < 1.0
+
+
+def test_prove_unwritable_out_is_usage_error(tmp_path):
+    trs = _single_trs(tmp_path)
+    out = tmp_path / "missing_dir" / "found.cert"
+    report = run_cli(
+        ["prove", "--trs", str(trs), "--domain", "N",
+         "--max-degree", "1", "--max-coeff", "2", "--out", str(out)]
+    )
+    assert report.exit_code == 3
+    assert report.text.startswith("ERROR usage: cannot write")
+    assert report.elapsed < 1.0

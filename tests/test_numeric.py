@@ -7,43 +7,36 @@ from math import isqrt
 import pytest
 
 from polyterm.numeric import (
+    MAX_RADICAND,
     DomainTag,
     QuadExt,
     domain_n,
     domain_q,
     domain_r,
     format_scalar,
-    parse_scalar,
     quadext,
-    rat_make,
-    scalar_div,
-    scalar_mul,
     scalar_sign,
 )
+from polyterm.poly import parse_scalar
 
 
 def test_rat_make_reduces():
-    assert rat_make(5, 10) == Fraction(1, 2)
-
-
-def test_rat_make_normalizes_sign():
-    assert rat_make(-3, -6) == Fraction(1, 2)
-    assert rat_make(3, -6) == Fraction(-1, 2)
+    assert parse_scalar("5/10") == Fraction(1, 2)
 
 
 def test_rat_make_plain():
-    assert rat_make(5, 2) == Fraction(5, 2)
+    assert parse_scalar("5/2") == Fraction(5, 2)
 
 
 def test_rat_make_zero_denominator():
     with pytest.raises(ZeroDivisionError):
-        rat_make(1, 0)
+        parse_scalar("1/0")
 
 
 def test_sqrt2_squared_is_two():
     r2 = quadext(0, 1, 2)
-    assert scalar_mul(r2, r2) == Fraction(2)
-    assert isinstance(scalar_mul(r2, r2), Fraction)
+    assert r2 * r2 == Fraction(2)
+    assert isinstance(r2 * r2, Fraction)
 
 
 def test_addition_cancels_radical():
@@ -66,13 +59,13 @@ def test_mixed_radicands_rejected():
 
 def test_division():
     r2 = quadext(0, 1, 2)
-    assert scalar_div(Fraction(2), r2) == r2
-    assert scalar_div(r2, r2) == 1
-    assert scalar_div(r2, Fraction(2)) == quadext(0, Fraction(1, 2), 2)
+    assert Fraction(2) / r2 == r2
+    assert r2 / r2 == 1
+    assert r2 / Fraction(2) == quadext(0, Fraction(1, 2), 2)
     assert r2 / 2 == quadext(0, Fraction(1, 2), 2)
-    assert scalar_div(parse_scalar("1+sqrt(2)"), parse_scalar("1+sqrt(2)")) == 1
+    assert parse_scalar("1+sqrt(2)") / parse_scalar("1+sqrt(2)") == 1
     with pytest.raises(ZeroDivisionError):
-        scalar_div(r2, Fraction(0))
+        r2 / Fraction(0)
     with pytest.raises(ZeroDivisionError):
         r2 / 0
 
@@ -82,6 +75,16 @@ def test_square_free_enforced():
         QuadExt(0, 1, 4)
     with pytest.raises(ValueError):
         QuadExt(0, 1, 12)
+
+
+def test_radicand_bounded():
+    assert MAX_RADICAND == 10**6
+    assert QuadExt(0, 1, 999_997).d == 999_997  # square-free, below the bound
+    for d in (MAX_RADICAND + 1, 10**18 + 3):  # above the bound
+        with pytest.raises(ValueError):
+            QuadExt(0, 1, d)
+        with pytest.raises(ValueError):
+            domain_r(1, d)
 
 
 def test_quadext_equals_rational_when_b_zero():
@@ -146,8 +149,8 @@ def test_field_axioms_random():
         assert (x + y) + z == x + (y + z)
         assert x * (y + z) == x * y + x * z
         if scalar_sign(x) != 0:
-            assert scalar_div(x, x) == 1
-            assert scalar_mul(x, scalar_div(Fraction(1), x)) == 1
+            assert x / x == 1
+            assert x * (Fraction(1) / x) == 1
 
 
 def test_total_order():
@@ -162,6 +165,12 @@ def test_text_round_trip():
     for text in samples:
         v = parse_scalar(text)
         assert parse_scalar(format_scalar(v)) == v
+    # a scalar is a constant polynomial: coefficient factors multiply
+    assert parse_scalar("3*3") == 9
+    assert parse_scalar("1/2*sqrt(2)*2") == quadext(0, 1, 2)
+    for text in ["x1", "", "1/0"]:
+        with pytest.raises((ValueError, ZeroDivisionError)):
+            parse_scalar(text)
     for _ in range(200):
         v = quadext(
             Fraction(rng.randint(-50, 50), rng.randint(1, 16)),
@@ -173,6 +182,11 @@ def test_text_round_trip():
 
 def test_whitespace_insignificant():
     assert parse_scalar(" 1 + 2 * sqrt ( 2 ) ") == parse_scalar("1+2*sqrt(2)")
+    assert parse_scalar(" 3 * 3 ") == parse_scalar("3*3") == 9
+    assert parse_scalar(" 1 / 2 * sqrt ( 2 ) * 2 ") == quadext(0, 1, 2)
+    for text in [" x1 ", "   ", " 1 / 0 "]:
+        with pytest.raises((ValueError, ZeroDivisionError)):
+            parse_scalar(text)
 
 
 def test_domain_tags():
