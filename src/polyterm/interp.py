@@ -50,7 +50,9 @@ from .numeric import (
     is_integer,
     scalar_sign,
 )
-from .poly import Poly, format_poly, monomial, parse_poly, parse_scalar
+from .poly import (
+    MAX_COEFF_BITS, MAX_DEGREE, MAX_TERMS, Poly, format_poly, monomial, parse_poly, parse_scalar,
+)
 from .positivity import Verdict, excess_at_least, nonneg_on
 from .trs import MAX_NESTING, FunSym, Rule, Term, Trs, Var, term_symbols
 
@@ -59,6 +61,7 @@ __all__ = [
     "Condition",
     "CheckReport",
     "Certificate",
+    "CompositionTooLarge",
     "eval_term",
     "eval_term_with",
     "step_conditions",
@@ -143,8 +146,15 @@ class Interp:
 # -- term evaluation -----------------------------------------------------------
 
 
+class CompositionTooLarge(ValueError):
+    """A term's polynomial would pass a size limit of ``poly``."""
+
+
 def eval_term_with(assignment: Mapping[FunSym, Poly], t: Term) -> Poly:
-    """The polynomial of a term under a plain symbol -> polynomial table."""
+    """The polynomial of a term under a plain symbol -> polynomial table.
+
+    CompositionTooLarge when a composition passes a size limit of ``poly``.
+    """
     if isinstance(t, Var):
         return Poly.var(t.name)
     try:
@@ -157,7 +167,27 @@ def eval_term_with(assignment: Mapping[FunSym, Poly], t: Term) -> Poly:
         arg_var(i + 1): eval_term_with(assignment, arg)
         for i, arg in enumerate(t.args)
     }
-    return poly.compose(subst)
+    if set(poly.variables()) <= set(subst):  # else compose names the missing variable
+        # before composing: the result's degree and the products its expansion forms
+        sizes = {v: (p.degree(), len(p.terms)) for v, p in subst.items()}
+        degree = products = 0
+        for m in poly.terms:
+            d, n = 0, 1
+            for v, e in m:
+                d += e * sizes[v][0]
+                n *= sizes[v][1] ** e
+            degree = max(degree, d)
+            products += n
+        if degree > MAX_DEGREE or products > MAX_TERMS:
+            raise CompositionTooLarge(f"{t.sym.name} composes to degree {degree} with "
+                                      f"{products} products (limits {MAX_DEGREE}, {MAX_TERMS})")
+    out = poly.compose(subst)
+    for c in out.terms.values():
+        for part in (c.a, c.b) if type(c) is QuadExt else (c,):
+            if max(part.numerator.bit_length(), part.denominator.bit_length()) > MAX_COEFF_BITS:
+                raise CompositionTooLarge(
+                    f"{t.sym.name} composes to a coefficient over {MAX_COEFF_BITS} bits")
+    return out
 
 
 def eval_term(interp: Interp, t: Term) -> Poly:

@@ -32,6 +32,8 @@ __all__ = [
     "Poly",
     "MINUS_INF",
     "MAX_DEGREE",
+    "MAX_TERMS",
+    "MAX_COEFF_BITS",
     "monomial",
     "parse_poly",
     "parse_scalar",
@@ -42,10 +44,18 @@ Monomial = "tuple[tuple[str, int], ...]"
 
 MINUS_INF = float("-inf")  # degree of the zero polynomial
 
-# Total degree allowed in one term of parsed text.  Composition multiplies
-# degrees, so an unbounded exponent in a certificate makes checking a nested
-# rule run for minutes; the search and the corpus stay at degree 2.
+# Total degree allowed in one term of parsed text, and in the polynomial of a
+# term (interp.eval_term_with).  Composition multiplies degrees, so an
+# unbounded exponent in a certificate makes checking a nested rule run for
+# minutes; the search and the corpus stay at degree 2.
 MAX_DEGREE = 64
+
+# The other limits of interp.eval_term_with: one composition forms at most
+# MAX_TERMS monomial products, and no numerator or denominator of its result
+# is longer than MAX_COEFF_BITS bits.  That is above any parsed numeral (4,300
+# digits at most); nesting, even of constants, can double it per level.
+MAX_TERMS = 10_000
+MAX_COEFF_BITS = 16_384
 
 
 def monomial(exps: Mapping[str, int] | Iterable[tuple[str, int]]) -> Monomial:

@@ -10,7 +10,7 @@ total degree at most ``max_degree`` (2 at most) whose coefficients range over
 and delta ranges over the configured candidates.  Only candidates that are
 well-defined and strictly monotone (plus weakly monotone for incremental
 steps) enter the space; that filter discards nothing a certificate could
-use.  Two sound prunings keep enumeration feasible and cannot drop an
+use.  Three sound prunings keep enumeration feasible and cannot drop an
 acceptable candidate:
 
 * degree shapes: a rule whose right-hand side out-degrees its left-hand
@@ -18,7 +18,14 @@ acceptable candidate:
   every coefficient choice of that shape (leading coefficients of monotone
   interpretations are positive, so composed degrees do not cancel);
 * early rule rejection: as soon as all symbols of a rule are assigned, a
-  failed compatibility check discards the whole subtree.
+  failed compatibility check discards the whole subtree;
+* point refutation: before composing a rule, its excess lhs - rhs - margin
+  is evaluated at the all-equal points x = 0, 1, 16 of the carrier, exactly:
+  with every coefficient scaled to an integer by the lcm L of the grid's
+  denominators, a term's value is n / L^k for Python ints n, k, so a
+  negative value is a true counterexample and disproves the rule.  Only the
+  survivors are composed and decided by ``nonneg_on``.  Grids with
+  sqrt(d) coefficients skip this step.
 
 Candidates are enumerated canonically: symbols in signature order; per
 symbol constants, then linear, then quadratic templates; coefficient tuples
@@ -43,14 +50,17 @@ and pass-list candidate), not only every 512 nodes.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
 from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
 from typing import Mapping
 
 from .interp import (
     CheckReport,
+    CompositionTooLarge,
     Condition,
     Interp,
     _candidate_permissible,
@@ -59,9 +69,9 @@ from .interp import (
     eval_term_with,
     step_conditions,
 )
-from .numeric import DomainTag, Scalar, as_scalar, format_scalar, quadext, scalar_sign
-from .poly import Poly, monomial
-from .positivity import Verdict, excess_at_least, nonneg_on
+from .numeric import DomainTag, QuadExt, Scalar, as_scalar, format_scalar, quadext, scalar_sign
+from .poly import MAX_COEFF_BITS, Poly, monomial
+from .positivity import Verdict, excess_at_least
 from .trs import FunSym, Rule, Term, Trs, Var, term_symbols
 
 __all__ = [
@@ -77,6 +87,7 @@ __all__ = [
 ]
 
 _SELECTIVITY_SAMPLES = 160  # random candidate tuples per rule in _plan_order
+_REFUTE_POINTS = (0, 1, 16)  # all-equal carrier points tried before composing
 _KEPT_EXAMPLES = 3  # certificates an exhaustion report prints
 
 
@@ -265,13 +276,27 @@ def _symbol_candidates(
 
 @dataclass(frozen=True)
 class _CandidateTable:
-    """The candidates of one search space, shared by every searcher over it."""
+    """The candidates of one search space, shared by every searcher over it.
+
+    ``scale`` is the lcm L of the candidates' denominators, None when a
+    coefficient or the margin is in Q(sqrt d).
+    """
 
     domain: DomainTag
     require_weak: bool
     shapes: list[dict[str, int]]
     polys: dict[str, list[Poly]]  # per symbol name, in canonical order
     degrees: dict[str, list[int]]  # the template degree of each candidate
+    scale: int | None
+    forms: dict[str, list[tuple]]  # _int_form of each poly; empty if scale is None
+
+
+def _int_form(poly: Poly, scale: int) -> tuple:
+    """poly * scale as ((integer coefficient, ((argument index, exponent), ...)), ...)."""
+    return tuple(
+        (int(c * scale), tuple((int(var[1:]) - 1, e) for var, e in m))  # var is x<i>
+        for m, c in poly.terms.items()
+    )
 
 
 def _candidate_table(
@@ -300,7 +325,75 @@ def _candidate_table(
                 _check_deadline(deadline)
             polys[sym.name].extend(groups[key])
             degrees[sym.name].extend([d] * len(groups[key]))
-    return _CandidateTable(domain, require_weak, shapes, polys, degrees)
+    coeffs = [c for group in groups.values() for p in group for c in p.coeffs()]
+    scale, forms = None, {}
+    if not any(isinstance(c, QuadExt) for c in coeffs + [domain.strict_margin]):
+        scale = math.lcm(*(c.denominator for c in coeffs))
+        forms = {name: [_int_form(p, scale) for p in ps] for name, ps in polys.items()}
+    return _CandidateTable(domain, require_weak, shapes, polys, degrees, scale, forms)
+
+
+# -- point refutation ----------------------------------------------------------
+
+
+def _point_value(term: Term, v: int, form_of, scale: int) -> "tuple[int, int] | None":
+    """The exact value n / scale**k of a term with every variable at v, as (n, k).
+
+    ``form_of(sym)`` is the ``_int_form`` of sym's candidate.  None past
+    ``MAX_COEFF_BITS``: the caller then composes, where that limit applies.
+    """
+    if isinstance(term, Var):
+        return v, 0
+    args = []
+    for a in term.args:
+        value = _point_value(a, v, form_of, scale)
+        if value is None:
+            return None
+        args.append(value)
+    parts = []  # per monomial: c * prod n_i^e_i, and sum e_i * k_i
+    for c, m in form_of(term.sym):
+        s = 0
+        for i, e in m:
+            n_i, k_i = args[i]
+            c *= n_i**e
+            s += e * k_i
+        parts.append((c, s))
+    k = 1 + max((s for _, s in parts), default=0)
+    n = sum(c * scale ** (k - 1 - s) for c, s in parts)
+    if n.bit_length() > MAX_COEFF_BITS or k * (scale.bit_length() - 1) > MAX_COEFF_BITS:
+        return None
+    return n, k
+
+
+def _refuted_at_points(lhs_at, rhs_at, margin: Scalar, scale: int | None) -> bool:
+    """lhs - rhs - margin < 0 at some point of ``_REFUTE_POINTS``: a disproof.
+
+    ``lhs_at(v)`` and ``rhs_at(v)`` are the sides' ``_point_value`` at v.
+    """
+    if scale is None:
+        return False
+    for v in _REFUTE_POINTS:
+        left, right = lhs_at(v), rhs_at(v)
+        if left is None or right is None:
+            return False
+        (n1, k1), (n2, k2) = left, right
+        k = max(k1, k2)
+        excess = (n1 * scale ** (k - k1) - n2 * scale ** (k - k2)) * margin.denominator
+        if excess < margin.numerator * scale ** k:
+            return True
+    return False
+
+
+def _excess_proved(sides, margin: Scalar, domain: DomainTag) -> bool:
+    """lhs - rhs - margin >= 0 proved, where sides() composes (lhs, rhs).
+
+    A composition past the limits of ``poly`` is not proved, like Unknown.
+    """
+    try:
+        lhs, rhs = sides()
+    except CompositionTooLarge:
+        return False
+    return excess_at_least(lhs, rhs, margin, domain.base).is_proved
 
 
 # -- the backtracking search engine --------------------------------------------
@@ -331,14 +424,14 @@ class _Searcher:
         deadline: float | None,
     ):
         self.domain = table.domain
+        self.margins = {mode: _margin(mode, table.domain) for mode in ("strict", "weak")}
+        self.scale = table.scale
         self.deadline = deadline
         self.nodes = 0
 
         if planned:
             mode = "weak" if table.require_weak else "strict"
-            level_symbols = _plan_order(
-                trs, table.polys, table.domain, mode, deadline=deadline
-            )
+            level_symbols = _plan_order(trs, table, mode, deadline=deadline)
         else:
             level_symbols = list(trs.signature)
         self.symbols = level_symbols
@@ -350,12 +443,13 @@ class _Searcher:
         ]
         self.cands = [table.polys[s.name] for s in level_symbols]
         self.cand_degrees = [table.degrees[s.name] for s in level_symbols]
+        self.forms = [table.forms.get(s.name) for s in level_symbols]
 
-        level_of = {sym.name: lvl for lvl, sym in enumerate(level_symbols)}
+        self.level_of = {sym: lvl for lvl, sym in enumerate(level_symbols)}
         self.rules: list[_RuleSlot] = []
         for idx, rule in enumerate(trs.rules, start=1):
-            lhs_lv = tuple(sorted({level_of[s.name] for s in term_symbols(rule.lhs)}))
-            rhs_lv = tuple(sorted({level_of[s.name] for s in term_symbols(rule.rhs)}))
+            lhs_lv = tuple(sorted({self.level_of[s] for s in term_symbols(rule.lhs)}))
+            rhs_lv = tuple(sorted({self.level_of[s] for s in term_symbols(rule.rhs)}))
             lv = tuple(sorted(set(lhs_lv) | set(rhs_lv)))
             self.rules.append(_RuleSlot(rule, idx, lv, max(lv), lhs_lv, rhs_lv))
         self.by_ready: list[list[_RuleSlot]] = [[] for _ in level_symbols]
@@ -390,6 +484,7 @@ class _Searcher:
         self.idx: list[int] = [-1] * len(level_symbols)
         self._compat_cache: dict[tuple, dict[tuple[int, ...], bool]] = {}
         self._eval_cache: dict[int, dict[tuple[int, ...], Poly]] = {}
+        self._point_cache: dict[tuple, "tuple[int, int] | None"] = {}
 
     # cache key: candidate indices of the rule's symbols only
     def _rule_key(self, slot: _RuleSlot) -> tuple[int, ...]:
@@ -404,18 +499,36 @@ class _Searcher:
             cache[key] = poly
         return poly
 
+    def _form_of(self, sym: FunSym) -> tuple:
+        lvl = self.level_of[sym]
+        return self.forms[lvl][self.idx[lvl]]
+
+    def _point_side(self, term: Term, levels: tuple[int, ...], v: int):
+        """A side's ``_point_value`` at v, memoised like ``_eval_side``."""
+        key = (id(term), v, *map(self.idx.__getitem__, levels))
+        if key not in self._point_cache:
+            self._point_cache[key] = _point_value(term, v, self._form_of, self.scale)
+        return self._point_cache[key]
+
     def _compat(self, slot: _RuleSlot, mode: str) -> bool:
         cache = self._compat_cache.setdefault((slot.index, mode), {})
         key = self._rule_key(slot)
         hit = cache.get(key)
         if hit is not None:
             return hit
-        lhs = self._eval_side(slot.rule.lhs, slot.lhs_levels)
-        rhs = self._eval_side(slot.rule.rhs, slot.rhs_levels)
-        diff = lhs - rhs
-        if mode == "strict":
-            diff = diff - Poly.const(self.domain.strict_margin)
-        ok = nonneg_on(diff, self.domain.base).is_proved
+        lhs, rhs = slot.rule.lhs, slot.rule.rhs
+        margin = self.margins[mode]
+        ok = not _refuted_at_points(
+            partial(self._point_side, lhs, slot.lhs_levels),
+            partial(self._point_side, rhs, slot.rhs_levels),
+            margin,
+            self.scale,
+        ) and _excess_proved(
+            lambda: (self._eval_side(lhs, slot.lhs_levels),
+                     self._eval_side(rhs, slot.rhs_levels)),
+            margin,
+            self.domain,
+        )
         cache[key] = ok
         return ok
 
@@ -547,34 +660,38 @@ class _Searcher:
 
 
 def _rule_selectivity(
-    rule: Rule,
-    candidates: Mapping[str, list[Poly]],
-    domain: DomainTag,
-    mode: str,
-    rng: random.Random,
+    rule: Rule, table: _CandidateTable, mode: str, rng: random.Random
 ) -> float:
     """Estimated pass rate of one compatibility check over random candidates."""
     syms = list(dict.fromkeys(s for t in (rule.lhs, rule.rhs) for s in term_symbols(t)))
-    if any(not candidates[s.name] for s in syms):
+    if any(not table.polys[s.name] for s in syms):
         return 0.0
-    margin = _margin(mode, domain)
+    margin = _margin(mode, table.domain)
     passed = 0
     for _ in range(_SELECTIVITY_SAMPLES):
-        table = {s: rng.choice(candidates[s.name]) for s in syms}
-        lhs = eval_term_with(table, rule.lhs)
-        rhs = eval_term_with(table, rule.rhs)
-        if excess_at_least(lhs, rhs, margin, domain.base).is_proved:
+        # choosing from a range draws exactly as choosing from the list
+        pick = {s: rng.choice(range(len(table.polys[s.name]))) for s in syms}
+        polys = {s: table.polys[s.name][i] for s, i in pick.items()}
+
+        def form_of(sym: FunSym) -> tuple:
+            return table.forms[sym.name][pick[sym]]
+
+        if not _refuted_at_points(
+            partial(_point_value, rule.lhs, form_of=form_of, scale=table.scale),
+            partial(_point_value, rule.rhs, form_of=form_of, scale=table.scale),
+            margin,
+            table.scale,
+        ) and _excess_proved(
+            lambda: (eval_term_with(polys, rule.lhs), eval_term_with(polys, rule.rhs)),
+            margin,
+            table.domain,
+        ):
             passed += 1
     return (passed + 1) / (_SELECTIVITY_SAMPLES + 2)
 
 
 def _plan_order(
-    trs: Trs,
-    candidates: Mapping[str, list[Poly]],
-    domain: DomainTag,
-    mode: str,
-    *,
-    deadline: float | None = None,
+    trs: Trs, table: _CandidateTable, mode: str, *, deadline: float | None = None
 ) -> list[FunSym]:
     """Level order minimizing estimated enumeration volume.
 
@@ -585,6 +702,7 @@ def _plan_order(
     depend on it.
     """
     symbols = list(trs.signature)
+    candidates = table.polys
     n = len(symbols)
     if n == 0:
         return []
@@ -596,7 +714,7 @@ def _plan_order(
         mask = 0
         for s in {s for t in (rule.lhs, rule.rhs) for s in term_symbols(t)}:
             mask |= 1 << symbols.index(s)
-        sigma = _rule_selectivity(rule, candidates, domain, mode, rng)
+        sigma = _rule_selectivity(rule, table, mode, rng)
         rule_masks.append((mask, sigma))
         _check_deadline(deadline)
 

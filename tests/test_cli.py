@@ -186,6 +186,33 @@ def test_huge_exponent_is_usage_error(tmp_path):
     assert report.elapsed < 1.0
 
 
+def _nested(symbol, depth, inner):
+    return f"{symbol}(" * depth + inner + ")" * depth
+
+
+@pytest.mark.parametrize(
+    "rule, interp",
+    [
+        # degree 2^depth: the degree limit stops it at depth 7
+        (_nested("f", 10, "x") + " -> x", "(f (x1) x1^2 + x1 + 1)"),
+        ("f(f(x)) -> x", "(f (x1) x1^64 + 1)"),
+        # degree 0 throughout, but the numerals double in length per level
+        (_nested("s", 26, "0") + " -> 0", "(0 () 0) (s (x1) x1^2 + 1)"),
+        (_nested("s", 30, "0") + " -> 0", "(0 () 0) (s (x1) x1^2 + 1)"),
+    ],
+    ids=["f10-quadratic", "f2-degree-64", "s26-ground", "s30-ground"],
+)
+def test_composition_blowup_is_usage_error(tmp_path, rule, interp):
+    trs = tmp_path / "nested.trs"
+    trs.write_text(f"(VAR x)\n(RULES {rule})\n")
+    cert = tmp_path / "nested.cert"
+    cert.write_text(f"(DOMAIN N)\n(INTERP {interp})\n")
+    report = run_cli(["check", "--trs", str(trs), "--cert", str(cert)])
+    assert report.exit_code == 3
+    assert "composes to" in report.text
+    assert report.elapsed < 1.0
+
+
 def test_prove_unwritable_out_is_usage_error(tmp_path):
     trs = _single_trs(tmp_path)
     out = tmp_path / "missing_dir" / "found.cert"

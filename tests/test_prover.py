@@ -1,6 +1,7 @@
 """Search, incremental proofs, exhaustion reports."""
 
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +9,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polyterm
 
@@ -17,22 +20,29 @@ from polyterm.interp import (
     check_certificate,
     check_monotone,
     check_well_defined,
+    eval_term_with,
     step_conditions,
 )
-from polyterm.numeric import DomainTag, domain_n, domain_q
+from polyterm.numeric import DomainTag, domain_n, domain_q, domain_r
 from polyterm.poly import Poly, monomial, parse_poly
+from polyterm.positivity import excess_at_least
 from polyterm.prover import (
     IncrementalProof,
     SearchConfig,
     _candidate_permissible,
+    _candidate_table,
+    _int_form,
+    _point_value,
+    _refuted_at_points,
     _symbol_candidates,
+    _template_positions,
     check_incremental,
     coefficient_grid,
     exhaustion_report,
     search_direct,
     search_incremental,
 )
-from polyterm.trs import FunSym, Trs, parse_trs
+from polyterm.trs import App, FunSym, Trs, Var, parse_trs
 
 SINGLE = parse_trs("(VAR x) (RULES f(x) -> x)", name="single_f")
 
@@ -131,6 +141,17 @@ def test_budget_overshoot_is_bounded():
         elapsed = time.monotonic() - started
         assert outcome in ("INCONCLUSIVE", "budget")
         assert elapsed < 1.0, f"{outcome} after {elapsed:.2f}s"
+
+
+def test_exhaustion_drops_compositions_past_the_limits():
+    # a quadratic f composes to degree 128 in f^7, above poly.MAX_DEGREE: the
+    # search counts such a template as not proved instead of hanging
+    deep = parse_trs("(VAR x) (RULES " + "f(" * 7 + "x" + ")" * 7 + " -> x)", name="deep")
+    started = time.monotonic()
+    quadratic = exhaustion_report(deep, "N", SearchConfig(max_degree=2, max_coeff=1))
+    assert time.monotonic() - started < 5.0
+    linear = exhaustion_report(deep, "N", SearchConfig(max_degree=1, max_coeff=1))
+    assert quadratic.complete and quadratic.cert_count == linear.cert_count
 
 
 def test_check_incremental_accepts_shipped_proofs():
@@ -282,19 +303,14 @@ import random
 from fractions import Fraction
 from polyterm.corpus import load_trs
 from polyterm.numeric import DomainTag
-from polyterm.prover import (
-    SearchConfig, _plan_order, _rule_selectivity, _symbol_candidates, coefficient_grid,
-)
+from polyterm.prover import SearchConfig, _candidate_table, _plan_order, _rule_selectivity
 trs = load_trs("r6.trs")
 domain = DomainTag("Q", Fraction(1))
-values = coefficient_grid("Q", SearchConfig(max_degree=1, max_coeff=2, denominators=(1,)))
-cands = {
-    s.name: _symbol_candidates(s, min(s.arity, 1), domain, values, True)
-    for s in trs.signature
-}
+cfg = SearchConfig(max_degree=1, max_coeff=2, denominators=(1,))
+table = _candidate_table(trs, domain, cfg, True, None)
 rng = random.Random(0)
-print([_rule_selectivity(rule, cands, domain, "weak", rng) for rule in trs.rules])
-print(",".join(s.name for s in _plan_order(trs, cands, domain, "weak")))
+print([_rule_selectivity(rule, table, "weak", rng) for rule in trs.rules])
+print(",".join(s.name for s in _plan_order(trs, table, "weak")))
 """
 
 
@@ -316,6 +332,7 @@ def test_plan_order_ignores_hash_seed():
 
 TWO_STEP = parse_trs("(VAR x) (RULES s(s(x)) -> h(x, s(0))  h(x, x) -> s(0))", name="two_step")
 SHIFT = parse_trs("(VAR x y) (RULES h(x, s(y)) -> h(s(x), y)  h(x, 0) -> x)", name="shift")
+NEST = parse_trs("(VAR x) (RULES f(0) -> 0  f(f(x)) -> f(x))", name="nest")
 _HALF = domain_q(Fraction(1, 2))
 
 
@@ -372,8 +389,10 @@ def _brute_incremental(trs, domain, cfg):
         (load_trs("r3.trs"), domain_n(), SearchConfig(max_degree=1, max_coeff=2)),
         (SHIFT, domain_n(), SearchConfig(max_degree=1, max_coeff=2)),
         (TWO_STEP, _HALF, SearchConfig(max_degree=1, max_coeff=2)),
+        # quadratic templates scaled by L = 4 against the margin 1/2
+        (NEST, _HALF, SearchConfig(max_degree=2, max_coeff=1, denominators=(1, 2, 4))),
     ],
-    ids=["single-N", "single-Q", "r3-N", "shift-N", "two_step-Q"],
+    ids=["single-N", "single-Q", "r3-N", "shift-N", "two_step-Q", "nest-Q"],
 )
 def test_search_matches_unpruned_enumeration(trs, domain, cfg):
     # the kernel decides every assignment; no shape or rule pruning
@@ -382,3 +401,59 @@ def test_search_matches_unpruned_enumeration(trs, domain, cfg):
     assert rep.complete and rep.cert_count == len(hits)
     assert search_direct(trs, domain, cfg).interp == (hits[0] if hits else None)
     assert search_incremental(trs, domain, cfg).proof == _brute_incremental(trs, domain, cfg)
+
+
+def test_point_refutation_scale():
+    nest_q = SearchConfig(max_degree=2, max_coeff=1, denominators=(1, 2, 4))
+    assert _candidate_table(NEST, _HALF, nest_q, False, None).scale == 4
+    assert _candidate_table(NEST, domain_n(), nest_q, False, None).scale == 1
+    # a sqrt(2) grid switches point refutation off
+    r_grid = SearchConfig(max_degree=1, max_coeff=1, sqrt_d=2)
+    assert _candidate_table(SINGLE, domain_r(Fraction(1), 2), r_grid, False, None).scale is None
+
+
+# -- point refutation against the kernel's composition ---------------------------
+
+_A, _F, _G = FunSym("a", 0), FunSym("f", 1), FunSym("g", 2)
+
+
+def _terms(depth):
+    """Terms over a/0, f/1, g/2 and the variables x, y, nested <= depth deep."""
+    leaves = st.sampled_from([Var("x"), Var("y"), App(_A, ())])
+    if depth == 0:
+        return leaves
+    sub = _terms(depth - 1)
+    return st.one_of(
+        leaves,
+        st.builds(lambda t: App(_F, (t,)), sub),
+        st.builds(lambda s, t: App(_G, (s, t)), sub, sub),
+    )
+
+
+def _template(sym, grid):
+    """Random coefficients on the monomials of a degree-2 template."""
+    positions = _template_positions(sym.arity, 2)
+    coeffs = st.lists(st.sampled_from(grid), min_size=len(positions), max_size=len(positions))
+    return coeffs.map(lambda cs: Poly(dict(zip(positions, cs))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_point_refutation_is_exact(data):
+    base, dens = data.draw(st.sampled_from([("N", (1,)), ("Q0", (1, 2, 3))]))
+    grid = [Fraction(p, q) for p in range(-2, 3) for q in dens]
+    table = {sym: data.draw(_template(sym, grid)) for sym in (_A, _F, _G)}
+    lhs, rhs = data.draw(_terms(3)), data.draw(_terms(3))
+    margin = data.draw(st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)]))
+    scale = math.lcm(*(c.denominator for p in table.values() for c in p.coeffs()))
+    forms = {sym: _int_form(p, scale) for sym, p in table.items()}
+    polys = {t: eval_term_with(table, t) for t in (lhs, rhs)}
+    values = {}
+    for t in (lhs, rhs):
+        for v in (0, 1, 16):
+            n, k = values[t, v] = _point_value(t, v, forms.__getitem__, scale)
+            assert Fraction(n, scale**k) == polys[t].eval({"x": v, "y": v})
+    if _refuted_at_points(
+        lambda v: values[lhs, v], lambda v: values[rhs, v], margin, scale
+    ):
+        assert not excess_at_least(polys[lhs], polys[rhs], margin, base).is_proved
