@@ -60,14 +60,15 @@ def _build_parser() -> _Parser:
     r = sub.add_parser("prove", help="search for a certificate")
     r.add_argument("--trs", required=True)
     r.add_argument("--domain", required=True, choices=["N", "Q", "R"])
-    r.add_argument("--incremental", action="store_true")
-    r.add_argument("--exhaustive", action="store_true",
-                   help="enumerate the whole space and count certificates")
+    mode = r.add_mutually_exclusive_group()
+    mode.add_argument("--incremental", action="store_true")
+    mode.add_argument("--exhaustive", action="store_true",
+                      help="enumerate the whole space and count certificates")
     r.add_argument("--max-degree", type=int, default=2)
     r.add_argument("--max-coeff", type=int, default=2)
     r.add_argument("--denoms", default="1", help="comma-separated denominators")
     r.add_argument("--delta", default="1", help="comma-separated delta candidates")
-    r.add_argument("--sqrt", type=int, default=None)
+    r.add_argument("--sqrt", type=int, default=None, help="radicand d; needs --domain R")
     r.add_argument("--budget", type=float, default=None, help="seconds")
     r.add_argument("--max-steps", type=int, default=8)
     r.add_argument("--out", default=None, help="write the found certificate here")
@@ -100,6 +101,8 @@ def _cmd_check(args) -> tuple[int, str]:
 
 
 def _search_config(args) -> SearchConfig:
+    if args.sqrt is not None and args.domain != "R":
+        raise _UsageError("--sqrt needs --domain R")
     try:
         denoms = tuple(int(tok) for tok in args.denoms.split(",") if tok)
         deltas = tuple(parse_scalar(tok) for tok in args.delta.split(",") if tok)

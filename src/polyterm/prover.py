@@ -43,6 +43,9 @@ passes a state down (strict compatibility for direct search and exhaustion;
 weak compatibility and a bound on strict failures for a removal step), and a
 leaf one.  Each space (one delta, one removal step) has one candidate table,
 filtered once per (arity, degree) and shared by a step's scout and picker.
+The table also carries the one compatibility decider, ``holds``, and its
+memo: the plan's samples, the scout and the picker ask it, so a check
+decided once in a space is never decided again there.
 ``budget_seconds`` is checked in set-up too (per candidate group, plan rule
 and pass-list candidate), not only every 512 nodes.
 """
@@ -53,7 +56,8 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass
+from collections import defaultdict
+from dataclasses import dataclass, field
 from functools import partial
 from fractions import Fraction
 from typing import Mapping
@@ -275,11 +279,35 @@ def _symbol_candidates(
 
 
 @dataclass(frozen=True)
+class _RuleRecord:
+    """A rule as ``_CandidateTable.holds`` reads it.
+
+    ``syms`` lists the rule's symbols in first-occurrence order, lhs before
+    rhs; a pick gives one candidate index per entry.  ``sides`` pairs each
+    side with the positions of its own symbols in ``syms``.
+    """
+
+    index: int  # 1-based in the searched TRS
+    syms: tuple[FunSym, ...]
+    pos: dict[FunSym, int]  # sym -> its position in syms
+    sides: tuple[tuple[Term, tuple[int, ...]], tuple[Term, tuple[int, ...]]]
+
+
+def _rule_record(index: int, rule: Rule) -> _RuleRecord:
+    syms = tuple(dict.fromkeys(s for t in (rule.lhs, rule.rhs) for s in term_symbols(t)))
+    pos = {s: i for i, s in enumerate(syms)}
+    sides = tuple((t, tuple(pos[s] for s in term_symbols(t))) for t in (rule.lhs, rule.rhs))
+    return _RuleRecord(index, syms, pos, sides)
+
+
+@dataclass(frozen=True)
 class _CandidateTable:
-    """The candidates of one search space, shared by every searcher over it.
+    """The candidates of one search space and its one compatibility decider.
 
     ``scale`` is the lcm L of the candidates' denominators, None when a
-    coefficient or the margin is in Q(sqrt d).
+    coefficient or the margin is in Q(sqrt d).  ``holds`` memoises every
+    decision, and each side's point values and composition, for the table's
+    life, so plan samples and every searcher over the table share them.
     """
 
     domain: DomainTag
@@ -289,6 +317,55 @@ class _CandidateTable:
     degrees: dict[str, list[int]]  # the template degree of each candidate
     scale: int | None
     forms: dict[str, list[tuple]]  # _int_form of each poly; empty if scale is None
+    rules: tuple[_RuleRecord, ...]
+    # memos, empty also in a dataclasses.replace copy:
+    # (rule index, mode) -> pick -> bool, id(term) -> sub-pick -> Poly and
+    # (id(term), v) -> sub-pick -> _point_value
+    _decided: dict = field(init=False, default_factory=partial(defaultdict, dict))
+    _composed: dict = field(init=False, default_factory=partial(defaultdict, dict))
+    _points: dict = field(init=False, default_factory=partial(defaultdict, dict))
+
+    def holds(self, rec: _RuleRecord, mode: str, pick: tuple[int, ...]) -> bool:
+        """Whether ``rec`` is compatible in ``mode`` under ``pick``, memoised.
+
+        ``pick[i]`` is the candidate index of ``rec.syms[i]``.  A rule refuted
+        at a point is decided without composing; the rest are composed.
+        """
+        memo = self._decided[rec.index, mode]
+        ok = memo.get(pick)
+        if ok is None:
+            (lhs, lhs_pos), (rhs, rhs_pos) = rec.sides
+            margin = _margin(mode, self.domain)
+            ok = not _refuted_at_points(
+                partial(self._point_side, rec, pick, lhs, lhs_pos),
+                partial(self._point_side, rec, pick, rhs, rhs_pos),
+                margin,
+                self.scale,
+            ) and _excess_proved(
+                lambda: (self._composed_side(rec, pick, lhs, lhs_pos),
+                         self._composed_side(rec, pick, rhs, rhs_pos)),
+                margin,
+                self.domain,
+            )
+            memo[pick] = ok
+        return ok
+
+    def _point_side(self, rec, pick, term, positions, v):
+        memo = self._points[id(term), v]
+        key = tuple(map(pick.__getitem__, positions))
+        if key not in memo:
+            form_of = lambda s: self.forms[s.name][pick[rec.pos[s]]]  # noqa: E731
+            memo[key] = _point_value(term, v, form_of, self.scale)
+        return memo[key]
+
+    def _composed_side(self, rec, pick, term, positions) -> Poly:
+        memo = self._composed[id(term)]
+        key = tuple(map(pick.__getitem__, positions))
+        poly = memo.get(key)
+        if poly is None:
+            assignment = {s: self.polys[s.name][i] for s, i in zip(rec.syms, pick)}
+            poly = memo[key] = eval_term_with(assignment, term)
+        return poly
 
 
 def _int_form(poly: Poly, scale: int) -> tuple:
@@ -330,7 +407,8 @@ def _candidate_table(
     if not any(isinstance(c, QuadExt) for c in coeffs + [domain.strict_margin]):
         scale = math.lcm(*(c.denominator for c in coeffs))
         forms = {name: [_int_form(p, scale) for p in ps] for name, ps in polys.items()}
-    return _CandidateTable(domain, require_weak, shapes, polys, degrees, scale, forms)
+    rules = tuple(_rule_record(i, rule) for i, rule in enumerate(trs.rules, start=1))
+    return _CandidateTable(domain, require_weak, shapes, polys, degrees, scale, forms, rules)
 
 
 # -- point refutation ----------------------------------------------------------
@@ -401,12 +479,8 @@ def _excess_proved(sides, margin: Scalar, domain: DomainTag) -> bool:
 
 @dataclass
 class _RuleSlot:
-    rule: Rule
-    index: int  # 1-based in the searched TRS
-    sym_levels: tuple[int, ...]  # levels of the symbols this rule mentions
-    ready_level: int
-    lhs_levels: tuple[int, ...] = ()
-    rhs_levels: tuple[int, ...] = ()
+    rec: _RuleRecord
+    pick_levels: tuple[int, ...]  # the level of each of rec.syms
 
 
 class _Searcher:
@@ -423,9 +497,7 @@ class _Searcher:
         planned: bool,
         deadline: float | None,
     ):
-        self.domain = table.domain
-        self.margins = {mode: _margin(mode, table.domain) for mode in ("strict", "weak")}
-        self.scale = table.scale
+        self.table = table
         self.deadline = deadline
         self.nodes = 0
 
@@ -443,18 +515,12 @@ class _Searcher:
         ]
         self.cands = [table.polys[s.name] for s in level_symbols]
         self.cand_degrees = [table.degrees[s.name] for s in level_symbols]
-        self.forms = [table.forms.get(s.name) for s in level_symbols]
 
-        self.level_of = {sym: lvl for lvl, sym in enumerate(level_symbols)}
-        self.rules: list[_RuleSlot] = []
-        for idx, rule in enumerate(trs.rules, start=1):
-            lhs_lv = tuple(sorted({self.level_of[s] for s in term_symbols(rule.lhs)}))
-            rhs_lv = tuple(sorted({self.level_of[s] for s in term_symbols(rule.rhs)}))
-            lv = tuple(sorted(set(lhs_lv) | set(rhs_lv)))
-            self.rules.append(_RuleSlot(rule, idx, lv, max(lv), lhs_lv, rhs_lv))
+        level_of = {sym: lvl for lvl, sym in enumerate(level_symbols)}
+        self.rules = [_RuleSlot(rec, tuple(map(level_of.get, rec.syms))) for rec in table.rules]
         self.by_ready: list[list[_RuleSlot]] = [[] for _ in level_symbols]
         for slot in self.rules:
-            self.by_ready[slot.ready_level].append(slot)
+            self.by_ready[max(slot.pick_levels)].append(slot)
         # at each level, the largest group of ready rules sharing one
         # dependency key drives a memoized pass-list over the candidates
         self.driver_rules: list[list[_RuleSlot]] = []
@@ -463,7 +529,7 @@ class _Searcher:
         for lvl, slots in enumerate(self.by_ready):
             groups: dict[tuple[int, ...], list[_RuleSlot]] = {}
             for slot in slots:
-                dep = tuple(l for l in slot.sym_levels if l != lvl)
+                dep = tuple(sorted(l for l in slot.pick_levels if l != lvl))
                 groups.setdefault(dep, []).append(slot)
             if groups:
                 dep = max(groups, key=lambda k: len(groups[k]))
@@ -480,57 +546,11 @@ class _Searcher:
             {} for _ in level_symbols
         ]
 
-        self.table: dict[FunSym, Poly] = {}
         self.idx: list[int] = [-1] * len(level_symbols)
-        self._compat_cache: dict[tuple, dict[tuple[int, ...], bool]] = {}
-        self._eval_cache: dict[int, dict[tuple[int, ...], Poly]] = {}
-        self._point_cache: dict[tuple, "tuple[int, int] | None"] = {}
-
-    # cache key: candidate indices of the rule's symbols only
-    def _rule_key(self, slot: _RuleSlot) -> tuple[int, ...]:
-        return tuple(self.idx[lvl] for lvl in slot.sym_levels)
-
-    def _eval_side(self, term: Term, levels: tuple[int, ...]) -> Poly:
-        cache = self._eval_cache.setdefault(id(term), {})
-        key = tuple(self.idx[lvl] for lvl in levels)
-        poly = cache.get(key)
-        if poly is None:
-            poly = eval_term_with(self.table, term)
-            cache[key] = poly
-        return poly
-
-    def _form_of(self, sym: FunSym) -> tuple:
-        lvl = self.level_of[sym]
-        return self.forms[lvl][self.idx[lvl]]
-
-    def _point_side(self, term: Term, levels: tuple[int, ...], v: int):
-        """A side's ``_point_value`` at v, memoised like ``_eval_side``."""
-        key = (id(term), v, *map(self.idx.__getitem__, levels))
-        if key not in self._point_cache:
-            self._point_cache[key] = _point_value(term, v, self._form_of, self.scale)
-        return self._point_cache[key]
 
     def _compat(self, slot: _RuleSlot, mode: str) -> bool:
-        cache = self._compat_cache.setdefault((slot.index, mode), {})
-        key = self._rule_key(slot)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        lhs, rhs = slot.rule.lhs, slot.rule.rhs
-        margin = self.margins[mode]
-        ok = not _refuted_at_points(
-            partial(self._point_side, lhs, slot.lhs_levels),
-            partial(self._point_side, rhs, slot.rhs_levels),
-            margin,
-            self.scale,
-        ) and _excess_proved(
-            lambda: (self._eval_side(lhs, slot.lhs_levels),
-                     self._eval_side(rhs, slot.rhs_levels)),
-            margin,
-            self.domain,
-        )
-        cache[key] = ok
-        return ok
+        pick = tuple(map(self.idx.__getitem__, slot.pick_levels))
+        return self.table.holds(slot.rec, mode, pick)
 
     def _tick(self):
         self.nodes += 1
@@ -550,16 +570,13 @@ class _Searcher:
         memo = self._driver_memo[level]
         passing = memo.get(key)
         if passing is None:
-            sym = self.symbols[level]
             passing = []
-            for ci, poly in enumerate(self.cands[level]):
+            for ci in range(len(self.cands[level])):
                 _check_deadline(self.deadline)
                 self.idx[level] = ci
-                self.table[sym] = poly
                 if all(self._compat(slot, mode) for slot in driver):
                     passing.append(ci)
             self.idx[level] = -1
-            self.table.pop(sym, None)
             memo[key] = passing
         return passing
 
@@ -580,8 +597,6 @@ class _Searcher:
             if level == n:
                 leaf(state)
                 return
-            sym = self.symbols[level]
-            cands = self.cands[level]
             cand_degrees = self.cand_degrees[level]
             for ci in self._level_candidates(level, mode):
                 new_degrees = degrees + (cand_degrees[ci],)
@@ -589,12 +604,10 @@ class _Searcher:
                     continue
                 self._tick()
                 self.idx[level] = ci
-                self.table[sym] = cands[ci]
                 child = visit(level, state)
                 if child is not None:
                     walk(level + 1, new_degrees, child)
             self.idx[level] = -1
-            self.table.pop(sym, None)
 
         walk(0, (), 0)
 
@@ -645,7 +658,7 @@ class _Searcher:
                 best_score = max(best_score, score)
             elif score == target:
                 strict = tuple(
-                    slot.index for slot in self.rules if self._compat(slot, "strict")
+                    slot.rec.index for slot in self.rules if self._compat(slot, "strict")
                 )
                 raise _Found((self.interp_from_state(), strict))
 
@@ -656,37 +669,22 @@ class _Searcher:
         return best_score if target is None else None
 
     def interp_from_state(self) -> Interp:
-        return Interp(self.domain, dict(self.table))
+        polys = {sym: self.cands[lvl][self.idx[lvl]] for lvl, sym in enumerate(self.symbols)}
+        return Interp(self.table.domain, polys)
 
 
 def _rule_selectivity(
-    rule: Rule, table: _CandidateTable, mode: str, rng: random.Random
+    rec: _RuleRecord, table: _CandidateTable, mode: str, rng: random.Random
 ) -> float:
     """Estimated pass rate of one compatibility check over random candidates."""
-    syms = list(dict.fromkeys(s for t in (rule.lhs, rule.rhs) for s in term_symbols(t)))
-    if any(not table.polys[s.name] for s in syms):
+    counts = [len(table.polys[s.name]) for s in rec.syms]
+    if not all(counts):
         return 0.0
-    margin = _margin(mode, table.domain)
-    passed = 0
-    for _ in range(_SELECTIVITY_SAMPLES):
-        # choosing from a range draws exactly as choosing from the list
-        pick = {s: rng.choice(range(len(table.polys[s.name]))) for s in syms}
-        polys = {s: table.polys[s.name][i] for s, i in pick.items()}
-
-        def form_of(sym: FunSym) -> tuple:
-            return table.forms[sym.name][pick[sym]]
-
-        if not _refuted_at_points(
-            partial(_point_value, rule.lhs, form_of=form_of, scale=table.scale),
-            partial(_point_value, rule.rhs, form_of=form_of, scale=table.scale),
-            margin,
-            table.scale,
-        ) and _excess_proved(
-            lambda: (eval_term_with(polys, rule.lhs), eval_term_with(polys, rule.rhs)),
-            margin,
-            table.domain,
-        ):
-            passed += 1
+    # choosing from a range draws exactly as choosing from the list
+    passed = sum(
+        table.holds(rec, mode, tuple(rng.choice(range(n)) for n in counts))
+        for _ in range(_SELECTIVITY_SAMPLES)
+    )
     return (passed + 1) / (_SELECTIVITY_SAMPLES + 2)
 
 
@@ -710,11 +708,11 @@ def _plan_order(
         return sorted(symbols, key=lambda s: (len(candidates[s.name]), symbols.index(s)))
     rng = random.Random(0)
     rule_masks: list[tuple[int, float]] = []
-    for rule in trs.rules:
+    for rec in table.rules:
         mask = 0
-        for s in {s for t in (rule.lhs, rule.rhs) for s in term_symbols(t)}:
+        for s in rec.syms:
             mask |= 1 << symbols.index(s)
-        sigma = _rule_selectivity(rule, table, mode, rng)
+        sigma = _rule_selectivity(rec, table, mode, rng)
         rule_masks.append((mask, sigma))
         _check_deadline(deadline)
 

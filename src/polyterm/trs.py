@@ -164,12 +164,6 @@ class Trs:
                             f"declared {g.arity}"
                         )
 
-    def symbol(self, name: str) -> FunSym:
-        for f in self.signature:
-            if f.name == name:
-                return f
-        raise KeyError(name)
-
     def subsystem(self, rule_indices: "list[int] | tuple[int, ...]") -> "Trs":
         """The TRS restricted to the given 0-based rule indices (kept in order)."""
         return make_trs([self.rules[i] for i in rule_indices], name=self.name)

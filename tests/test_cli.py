@@ -223,3 +223,16 @@ def test_prove_unwritable_out_is_usage_error(tmp_path):
     assert report.exit_code == 3
     assert report.text.startswith("ERROR usage: cannot write")
     assert report.elapsed < 1.0
+
+
+def test_conflicting_prove_flags_are_usage_errors(tmp_path):
+    trs = _single_trs(tmp_path)
+    prove = ["prove", "--trs", str(trs), "--max-degree", "1", "--max-coeff", "2"]
+    both = run_cli(prove + ["--domain", "N", "--exhaustive", "--incremental"])
+    assert both.exit_code == 3
+    assert both.text.startswith("ERROR usage:") and "--incremental" in both.text
+    for domain in ("N", "Q"):
+        sqrt = run_cli(prove + ["--domain", domain, "--sqrt", "2"])
+        assert sqrt.exit_code == 3
+        assert sqrt.text == "ERROR usage: --sqrt needs --domain R"
+    assert run_cli(prove + ["--domain", "R", "--sqrt", "2"]).exit_code == 0

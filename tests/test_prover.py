@@ -1,5 +1,7 @@
 """Search, incremental proofs, exhaustion reports."""
 
+import dataclasses
+import functools
 import itertools
 import math
 import os
@@ -17,6 +19,7 @@ import polyterm
 from polyterm.corpus import load_certificate, load_trs
 from polyterm.interp import (
     Interp,
+    _margin,
     check_certificate,
     check_monotone,
     check_well_defined,
@@ -32,6 +35,7 @@ from polyterm.prover import (
     _candidate_permissible,
     _candidate_table,
     _int_form,
+    _plan_order,
     _point_value,
     _refuted_at_points,
     _symbol_candidates,
@@ -309,7 +313,7 @@ domain = DomainTag("Q", Fraction(1))
 cfg = SearchConfig(max_degree=1, max_coeff=2, denominators=(1,))
 table = _candidate_table(trs, domain, cfg, True, None)
 rng = random.Random(0)
-print([_rule_selectivity(rule, table, "weak", rng) for rule in trs.rules])
+print([_rule_selectivity(rec, table, "weak", rng) for rec in table.rules])
 print(",".join(s.name for s in _plan_order(trs, table, "weak")))
 """
 
@@ -457,3 +461,62 @@ def test_point_refutation_is_exact(data):
         lambda v: values[lhs, v], lambda v: values[rhs, v], margin, scale
     ):
         assert not excess_at_least(polys[lhs], polys[rhs], margin, base).is_proved
+
+
+# -- the one compatibility decider against the kernel ---------------------------
+
+
+@functools.cache
+def _decider_space(name):
+    """A candidate table whose memos the oracle test never fills."""
+    trs, domain, cfg = {
+        "r3-N": (load_trs("r3.trs"), domain_n(), SearchConfig(max_degree=2, max_coeff=2)),
+        "nest-Q": (NEST, _HALF, SearchConfig(max_degree=2, max_coeff=1, denominators=(1, 2, 4))),
+        "r4-R": (load_trs("r4.trs"), domain_r(Fraction(1), 2),
+                 SearchConfig(max_degree=2, max_coeff=1, sqrt_d=2)),
+    }[name]
+    return trs, _candidate_table(trs, domain, cfg, False, None)
+
+
+def _question(table):
+    """A random (rule record, mode, pick) over a table's candidates."""
+    def pick_for(rec):
+        pick = st.tuples(*(st.integers(0, len(table.polys[s.name]) - 1) for s in rec.syms))
+        return st.tuples(st.just(rec), st.sampled_from(("strict", "weak")), pick)
+
+    return st.sampled_from(table.rules).flatmap(pick_for)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_holds_matches_kernel_whoever_asks_first(data):
+    trs, base = _decider_space(data.draw(st.sampled_from(["r3-N", "nest-Q", "r4-R"])))
+    questions = data.draw(st.lists(_question(base), min_size=1, max_size=8))
+    assert (base.scale is None) == (base.domain.kind == "R")  # sqrt(2): no point filter
+    forward, backward = dataclasses.replace(base), dataclasses.replace(base)
+    asked = [forward.holds(*q) for q in questions]
+    assert [backward.holds(*q) for q in reversed(questions)] == asked[::-1]
+    domain = base.domain
+    for (rec, mode, pick), ok in zip(questions, asked):
+        rule = trs.rules[rec.index - 1]
+        polys = {s: base.polys[s.name][i] for s, i in zip(rec.syms, pick)}
+        lhs, rhs = eval_term_with(polys, rule.lhs), eval_term_with(polys, rule.rhs)
+        assert ok == excess_at_least(lhs, rhs, _margin(mode, domain), domain.base).is_proved
+
+
+def test_plan_order_falls_back_past_14_symbols():
+    # a1(x) -> a2(x), ..., a14(x) -> a15(x): every symbol has the candidates
+    # x1 and x1 + 1; rule i forces a_i = x1 + 1 and a_(i+1) = x1, which rule
+    # i + 1 contradicts, so the space holds no certificate
+    rules = "  ".join(f"a{i}(x) -> a{i + 1}(x)" for i in range(1, 15))
+    chain = parse_trs(f"(VAR x) (RULES {rules})", name="chain")
+    cfg = SearchConfig(max_degree=1, max_coeff=1)
+    table = _candidate_table(chain, domain_n(), cfg, False, None)
+    assert all(ps == [parse_poly("x1"), parse_poly("x1 + 1")] for ps in table.polys.values())
+    order = _plan_order(chain, table, "strict")
+    signature = list(chain.signature)
+    assert len(signature) == 15 and sorted(order, key=signature.index) == signature
+    keys = [(len(table.polys[s.name]), signature.index(s)) for s in order]
+    assert keys == sorted(keys)
+    rep = exhaustion_report(chain, domain_n(), cfg)
+    assert rep.complete and rep.line() == "EXHAUSTED degree<=1 coeff<=1 CERTS 0"
