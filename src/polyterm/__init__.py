@@ -15,6 +15,7 @@ from .interp import (
     CheckReport,
     Interp,
     check_certificate,
+    check_incremental,
     eval_term,
     format_certificate,
     lift_linear_n_to_q,
@@ -23,9 +24,7 @@ from .interp import (
 )
 from .prover import (
     ExhaustionReport,
-    IncrementalProof,
     SearchConfig,
-    check_incremental,
     exhaustion_report,
     search_direct,
     search_incremental,

@@ -15,8 +15,8 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .corpus import check_corpus_certificate, verify_all
-from .interp import Certificate, format_certificate, parse_certificate
+from .corpus import verify_all
+from .interp import Certificate, check_certificate, format_certificate, parse_certificate
 from .poly import parse_scalar
 from .prover import (
     SearchConfig,
@@ -95,7 +95,7 @@ def _cmd_parse(args) -> tuple[int, str]:
 
 def _cmd_check(args) -> tuple[int, str]:
     trs = parse_trs(_read(args.trs), name=args.trs)
-    report = check_corpus_certificate(trs, parse_certificate(_read(args.cert)))
+    report = check_certificate(parse_certificate(_read(args.cert)), trs)
     code = {"accepted": 0, "rejected": 1, "unknown": 2}[report.verdict_word]
     return code, report.format()
 
@@ -132,7 +132,7 @@ def _cmd_prove(args) -> tuple[int, str]:
     bounds = cfg.bounds_text(args.domain)
     if args.incremental:
         res = search_incremental(trs, args.domain, cfg)
-        cert = Certificate(steps=res.proof.steps) if res.found else None
+        cert = res.proof if res.found else None
         not_found = f"NO-PROGRESS {bounds}"
     else:
         res = search_direct(trs, args.domain, cfg)

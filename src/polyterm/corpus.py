@@ -4,8 +4,9 @@ Seven rewrite systems (r1, r2, r3, r4, s, r5, r6) ship as plain text files
 in the package data directory, together with every witness interpretation:
 direct certificates, two-step rule-removal proofs, and one deliberately
 broken variant per certificate whose single corrupted coefficient trips
-exactly one check.  ``verify_all`` re-checks the lot and is wired to the
-``corpus verify`` CLI command.
+exactly one check.  ``verify_all`` re-checks the lot with the kernel's one
+checker, ``interp.check_certificate``, and is wired to the ``corpus verify``
+CLI command; nothing here depends on the search.
 
 The r4 certificate exercises exact sqrt(2) arithmetic: composing its k three
 times yields the constant 3 + sqrt(2), so the margins of the last two rules
@@ -18,8 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 
-from .interp import Certificate, CheckReport, check_certificate, lift_q_to_r, parse_certificate
-from .prover import check_incremental
+from .interp import Certificate, check_certificate, lift_q_to_r, parse_certificate
 from .trs import Trs, parse_trs
 
 __all__ = [
@@ -211,13 +211,6 @@ def load_corpus() -> list[CorpusEntry]:
     ]
 
 
-def check_corpus_certificate(trs: Trs, cert: Certificate) -> CheckReport:
-    """Check a direct or an incremental certificate against ``trs``."""
-    if cert.is_incremental:
-        return check_incremental(list(cert.steps), trs)
-    return check_certificate(cert.direct, trs)
-
-
 @dataclass(frozen=True)
 class CorpusReport:
     lines: tuple[tuple[str, bool, str], ...]
@@ -247,7 +240,7 @@ def verify_all() -> CorpusReport:
         lines.append((entry.id, True, f"{len(trs.rules)} rules"))
         for cc in entry.certificates:
             cert = cc.load()
-            report = check_corpus_certificate(trs, cert)
+            report = check_certificate(cert, trs)
             if cc.expect_accept:
                 if report.accepted and not report.unknowns():
                     lines.append((cc.name, True, "accepted"))

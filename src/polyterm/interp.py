@@ -14,6 +14,12 @@ radicand).  Checking a certificate reduces to non-negativity queries:
 * compatibility of a rule l -> r:  P_l - P_r - margin >= 0 with margin
   delta/1 (strict) or 0 (weak).
 
+One checker, ``check_certificate``, checks every certificate: it walks the
+removal steps against the shrinking system, and a direct certificate is the
+one unnumbered step that removes every rule.  ``check_incremental`` takes the
+steps alone.  Together with ``numeric``, ``poly``, ``positivity`` and ``trs``
+this is the trusted kernel; the search in ``prover`` is re-checked by it.
+
 Each condition has one decider (``_well_defined``, ``_mono_argument``, and
 ``excess_at_least`` on the composed sides of a rule), shared by the checker
 and by the search's template filter ``_candidate_permissible``.  Deciding is
@@ -69,6 +75,7 @@ __all__ = [
     "check_monotone",
     "check_rule",
     "check_certificate",
+    "check_incremental",
     "lift_q_to_r",
     "lift_linear_n_to_q",
     "parse_certificate",
@@ -127,9 +134,6 @@ class Interp:
             raise ValueError(
                 f"uninterpreted symbol {sym.name}/{sym.arity}"
             ) from None
-
-    def symbols(self) -> list[FunSym]:
-        return list(self.assignment)
 
     def __eq__(self, other):
         if not isinstance(other, Interp):
@@ -324,17 +328,27 @@ def qr_quad_weak_permissible(a, b, c) -> bool:
 
 
 def check_monotone(interp: Interp, kind: str) -> dict[FunSym, tuple[Verdict, ...]]:
-    """Per-symbol, per-argument monotonicity verdicts ("strict" or "weak")."""
+    """Per-symbol, per-argument monotonicity verdicts ("strict" or "weak").
+
+    A closed-form rejection gets a witness point where the ladder finds one.
+    """
     if kind not in ("strict", "weak"):
         raise ValueError(f"unknown monotonicity kind {kind!r}")
-    return check_monotone_symbols(interp, kind, interp.assignment)
+    out = {}
+    for sym, poly in interp.assignment.items():
+        verdicts = []
+        for i in range(1, sym.arity + 1):
+            v = _mono_argument(poly, sym.arity, i, kind, interp.domain)
+            if v.is_disproved and v.witness is None:
+                v = _mono_witness(poly, i, kind, interp.domain, v)
+            verdicts.append(v)
+        out[sym] = tuple(verdicts)
+    return out
 
 
 def check_well_defined(interp: Interp) -> dict[FunSym, Verdict]:
     """f maps the carrier into the carrier; over N also integer coefficients."""
-    return {
-        sym: check_well_defined_symbol(interp, sym) for sym in interp.assignment
-    }
+    return {sym: _well_defined(poly, interp.domain) for sym, poly in interp.assignment.items()}
 
 
 def check_rule(interp: Interp, rule: Rule, kind: str) -> Verdict:
@@ -426,16 +440,17 @@ class CheckReport:
         return "\n".join(lines)
 
 
+# -- the certificate checker --------------------------------------------------------
+
+
 def _certificate_conditions(
-    interp: Interp,
-    trs: Trs,
-    *,
-    step: int | None,
-    require_weak: bool,
-    strict_rules: Iterable[int],
-    weak_required: bool,
+    interp: Interp, trs: Trs, removed: Iterable[int], step: int | None, final: bool
 ) -> list[Condition]:
-    """Shared condition builder for direct certificates and proof steps."""
+    """The conditions of one step that removes the rules ``removed`` from ``trs``.
+
+    Only the symbols that ``trs`` uses are decided.  Weak monotonicity is
+    checked, and weak compatibility required, unless the step is final.
+    """
     need = dict.fromkeys(
         sym for rule in trs.rules for t in (rule.lhs, rule.rhs) for sym in term_symbols(t)
     )
@@ -444,33 +459,19 @@ def _certificate_conditions(
         raise ValueError(
             f"uninterpreted symbol {missing[0].name}/{missing[0].arity}"
         )
+    used = Interp(interp.domain, {s: p for s, p in interp.assignment.items() if s in need})
 
-    conds: list[Condition] = []
-    order = [s for s in interp.assignment if s in need]
-    for sym in order:
-        conds.append(
-            Condition(
-                "well-defined",
-                True,
-                check_well_defined_symbol(interp, sym),
-                symbol=sym.name,
-                step=step,
-            )
-        )
-    strict_mono = check_monotone_symbols(interp, "strict", order)
-    for sym in order:
-        for i, v in enumerate(strict_mono[sym], start=1):
-            conds.append(
-                Condition("strict-mono", True, v, symbol=sym.name, arg=i, step=step)
-            )
-    if require_weak:
-        weak_mono = check_monotone_symbols(interp, "weak", order)
-        for sym in order:
-            for i, v in enumerate(weak_mono[sym], start=1):
-                conds.append(
-                    Condition("weak-mono", True, v, symbol=sym.name, arg=i, step=step)
-                )
-    strict_set = set(strict_rules)
+    conds = [
+        Condition("well-defined", True, v, symbol=sym.name, step=step)
+        for sym, v in check_well_defined(used).items()
+    ]
+    for kind in ("strict",) if final else ("strict", "weak"):
+        for sym, verdicts in check_monotone(used, kind).items():
+            conds += [
+                Condition(f"{kind}-mono", True, v, symbol=sym.name, arg=i, step=step)
+                for i, v in enumerate(verdicts, start=1)
+            ]
+    strict_set = set(removed)
     domain = interp.domain
     for idx, rule in enumerate(trs.rules, start=1):
         lhs = eval_term(interp, rule.lhs)
@@ -481,7 +482,7 @@ def _certificate_conditions(
             conds.append(
                 Condition(
                     f"{kind}-compat",
-                    kind == "strict" or weak_required,
+                    kind == "strict" or not final,
                     verdict,
                     rule_index=idx,
                     step=step,
@@ -489,41 +490,6 @@ def _certificate_conditions(
                 )
             )
     return conds
-
-
-def check_well_defined_symbol(interp: Interp, sym: FunSym) -> Verdict:
-    return _well_defined(interp.poly_for(sym), interp.domain)
-
-
-def check_monotone_symbols(
-    interp: Interp, kind: str, symbols: Iterable[FunSym]
-) -> dict[FunSym, tuple[Verdict, ...]]:
-    """Monotonicity verdicts; a closed-form rejection gets a witness point."""
-    out = {}
-    for sym in symbols:
-        poly = interp.poly_for(sym)
-        verdicts = []
-        for i in range(1, sym.arity + 1):
-            v = _mono_argument(poly, sym.arity, i, kind, interp.domain)
-            if v.is_disproved and v.witness is None:
-                v = _mono_witness(poly, i, kind, interp.domain, v)
-            verdicts.append(v)
-        out[sym] = tuple(verdicts)
-    return out
-
-
-def check_certificate(interp: Interp, trs: Trs) -> CheckReport:
-    """Direct certificate: well-defined + strictly monotone + strictly compatible."""
-    conds = _certificate_conditions(
-        interp,
-        trs,
-        step=None,
-        require_weak=False,
-        strict_rules=range(1, len(trs.rules) + 1),
-        weak_required=False,
-    )
-    accepted = all(c.verdict.is_proved for c in conds if c.required)
-    return CheckReport(accepted, tuple(conds))
 
 
 def step_conditions(
@@ -544,14 +510,62 @@ def step_conditions(
             raise ValueError(f"step {step}: removal index {idx} out of range")
     if len(set(removed)) != len(removed):
         raise ValueError(f"step {step}: duplicate removal index")
-    return _certificate_conditions(
-        interp,
-        residual,
-        step=step,
-        require_weak=not is_last_full,
-        strict_rules=removed,
-        weak_required=not is_last_full,
-    )
+    return _certificate_conditions(interp, residual, removed, step, is_last_full)
+
+
+def _check_steps(steps, trs: Trs, domain) -> CheckReport:
+    """The one certificate checker: every step against the residual it leaves.
+
+    A step pairs an interpretation with the 1-based indices of the rules it
+    removes from the residual at that step.  A direct certificate is one step
+    whose indices are None: it removes every rule and carries no number.
+    ``domain`` (a kind or a DomainTag) fixes the carrier of every step.
+    """
+    if not steps:
+        raise ValueError("incremental proof needs at least one step")
+    kind = domain.kind if isinstance(domain, DomainTag) else domain
+    conds: list[Condition] = []
+    residual = trs
+    for number, (interp, removed) in enumerate(steps, start=1):
+        kind = kind or interp.domain.kind
+        if interp.domain.kind != kind:
+            where = "certificate" if removed is None else f"step {number}"
+            raise ValueError(f"{where} is over {interp.domain.kind}, expected {kind}")
+        every = range(1, len(residual.rules) + 1)
+        if removed is None:
+            conds += _certificate_conditions(interp, residual, every, None, True)
+            removed = every
+        else:
+            final = number == len(steps) and set(removed) == set(every)
+            conds += step_conditions(interp, residual, tuple(removed), number, final)
+        gone = set(removed)
+        residual = residual.subsystem([i - 1 for i in every if i not in gone])
+    if residual.rules:
+        conds.append(
+            Condition(
+                "residual-empty",
+                True,
+                Verdict.disproved(
+                    None, None, f"{len(residual.rules)} rules were never removed"
+                ),
+            )
+        )
+    accepted = all(c.verdict.is_proved for c in conds if c.required)
+    return CheckReport(accepted, tuple(conds))
+
+
+def check_certificate(cert: Certificate | Interp, trs: Trs, domain=None) -> CheckReport:
+    """Check a certificate, direct or stepwise; a bare Interp is a direct one."""
+    if isinstance(cert, Interp):
+        cert = Certificate(direct=cert)
+    steps = cert.steps if cert.is_incremental else ((cert.direct, None),)
+    return _check_steps(steps, trs, domain)
+
+
+def check_incremental(proof, trs: Trs, domain=None) -> CheckReport:
+    """Check removal steps: a stepwise Certificate or a sequence of (Interp, indices)."""
+    steps = proof.steps if isinstance(proof, Certificate) else tuple(proof)
+    return _check_steps(steps, trs, domain)
 
 
 # -- domain transfer --------------------------------------------------------------

@@ -36,7 +36,10 @@ search scans the whole space per step and keeps the interpretation that
 removes the most rules, breaking ties toward the canonically least one, so
 results do not depend on traversal order.  An exhaustion run enumerates the
 space to the end and counts every certificate in it; its report is a
-consistency statement, never a nonexistence proof.
+consistency statement, never a nonexistence proof.  The search is
+untrusted and checks nothing itself: a direct search returns an ``Interp``
+and a removal search a stepwise ``Certificate``, which the kernel's
+``interp.check_certificate`` re-checks.
 
 One DFS walks every space, with two hooks: a per-level one that prunes or
 passes a state down (strict compatibility for direct search and exhaustion;
@@ -63,30 +66,27 @@ from fractions import Fraction
 from typing import Mapping
 
 from .interp import (
-    CheckReport,
+    Certificate,
     CompositionTooLarge,
-    Condition,
     Interp,
     _candidate_permissible,
     _margin,
     arg_var,
     eval_term_with,
-    step_conditions,
 )
+from .interp import check_incremental  # noqa: F401  bench/tracer.py wraps it here
 from .numeric import DomainTag, QuadExt, Scalar, as_scalar, format_scalar, quadext, scalar_sign
 from .poly import MAX_COEFF_BITS, Poly, monomial
-from .positivity import Verdict, excess_at_least
+from .positivity import excess_at_least
 from .trs import FunSym, Rule, Term, Trs, Var, term_symbols
 
 __all__ = [
     "SearchConfig",
     "SearchResult",
-    "IncrementalProof",
     "IncrementalResult",
     "ExhaustionReport",
     "search_direct",
     "search_incremental",
-    "check_incremental",
     "exhaustion_report",
 ]
 
@@ -140,16 +140,9 @@ class SearchResult:
 
 
 @dataclass(frozen=True)
-class IncrementalProof:
-    """Ordered removal steps; REMOVE indices are 1-based into each residual."""
-
-    steps: tuple[tuple[Interp, tuple[int, ...]], ...]
-
-
-@dataclass(frozen=True)
 class IncrementalResult:
     status: str  # "found" | "exhausted" | "budget" | "no-progress"
-    proof: IncrementalProof | None = None
+    proof: Certificate | None = None  # stepwise
     nodes: int = 0
     elapsed: float = 0.0
 
@@ -306,8 +299,10 @@ class _CandidateTable:
 
     ``scale`` is the lcm L of the candidates' denominators, None when a
     coefficient or the margin is in Q(sqrt d).  ``holds`` memoises every
-    decision, and each side's point values and composition, for the table's
-    life, so plan samples and every searcher over the table share them.
+    decision for the table's life, so plan samples and every searcher over
+    the table share them.  It memoises each side's point values and
+    composition too; the plan drops those after sampling, since the scan
+    reuses few of the random samples' sides.
     """
 
     domain: DomainTag
@@ -349,6 +344,11 @@ class _CandidateTable:
             )
             memo[pick] = ok
         return ok
+
+    def drop_side_memos(self) -> None:
+        """Forget the sides' point values and compositions; decisions stay."""
+        self._points.clear()
+        self._composed.clear()
 
     def _point_side(self, rec, pick, term, positions, v):
         memo = self._points[id(term), v]
@@ -715,6 +715,7 @@ def _plan_order(
         sigma = _rule_selectivity(rec, table, mode, rng)
         rule_masks.append((mask, sigma))
         _check_deadline(deadline)
+    table.drop_side_memos()
 
     counts = [max(1, len(candidates[s.name])) for s in symbols]
     full = (1 << n) - 1
@@ -831,7 +832,7 @@ def search_incremental(trs: Trs, domain, cfg: SearchConfig) -> IncrementalResult
     residual = trs
     nodes = 0
 
-    def result(status: str, proof: IncrementalProof | None = None) -> IncrementalResult:
+    def result(status: str, proof: Certificate | None = None) -> IncrementalResult:
         return IncrementalResult(status, proof, nodes, time.monotonic() - start)
 
     while residual.rules:
@@ -856,47 +857,7 @@ def search_incremental(trs: Trs, domain, cfg: SearchConfig) -> IncrementalResult
         steps.append((interp, removed))
         keep = [i for i in range(len(residual.rules)) if (i + 1) not in removed]
         residual = residual.subsystem(keep)
-    return result("found", IncrementalProof(tuple(steps)))
-
-
-def check_incremental(proof, trs: Trs, domain=None) -> CheckReport:
-    """Verify an incremental proof clause by clause against the shrinking TRS."""
-    steps = proof.steps if isinstance(proof, IncrementalProof) else tuple(proof)
-    if not steps:
-        raise ValueError("incremental proof needs at least one step")
-    expected_kind = None
-    if domain is not None:
-        expected_kind = domain.kind if isinstance(domain, DomainTag) else str(domain)
-    conds: list[Condition] = []
-    residual = trs
-    for number, (interp, removed) in enumerate(steps, start=1):
-        if expected_kind is None:
-            expected_kind = interp.domain.kind
-        elif interp.domain.kind != expected_kind:
-            raise ValueError(
-                f"step {number} is over {interp.domain.kind}, expected {expected_kind}"
-            )
-        is_last_full = (
-            number == len(steps)
-            and set(removed) == set(range(1, len(residual.rules) + 1))
-        )
-        conds.extend(
-            step_conditions(interp, residual, tuple(removed), number, is_last_full)
-        )
-        keep = [i for i in range(len(residual.rules)) if (i + 1) not in set(removed)]
-        residual = residual.subsystem(keep)
-    if residual.rules:
-        conds.append(
-            Condition(
-                "residual-empty",
-                True,
-                Verdict.disproved(
-                    None, None, f"{len(residual.rules)} rules were never removed"
-                ),
-            )
-        )
-    accepted = all(c.verdict.is_proved for c in conds if c.required)
-    return CheckReport(accepted, tuple(conds))
+    return result("found", Certificate(steps=tuple(steps)))
 
 
 # -- exhaustion reports -----------------------------------------------------------

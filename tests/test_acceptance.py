@@ -15,6 +15,7 @@ from polyterm.corpus import load_certificate, load_corpus, load_trs
 from polyterm.interp import (
     Interp,
     check_certificate,
+    check_incremental,
     eval_term,
     lift_linear_n_to_q,
     lift_q_to_r,
@@ -27,9 +28,7 @@ from polyterm.numeric import DomainTag, domain_n, scalar_sign
 from polyterm.poly import Poly, parse_poly, parse_scalar
 from polyterm.positivity import nonneg_on
 from polyterm.prover import (
-    IncrementalProof,
     SearchConfig,
-    check_incremental,
     exhaustion_report,
     search_direct,
     search_incremental,
@@ -51,10 +50,7 @@ def _check(trs_name, cert_name):
     trs = load_trs(trs_name)
     cert = load_certificate(cert_name)
     started = time.monotonic()
-    if cert.is_incremental:
-        report = check_incremental(IncrementalProof(cert.steps), trs)
-    else:
-        report = check_certificate(cert.direct, trs)
+    report = check_certificate(cert, trs)
     elapsed = time.monotonic() - started
     assert elapsed < 1.0, f"{cert_name} took {elapsed:.2f}s"
     return report
@@ -346,11 +342,7 @@ def test_criterion_7_no_unknown_verdicts():
         for entry in load_corpus():
             trs = entry.trs()
             for cc in entry.certificates:
-                cert = cc.load()
-                if cert.is_incremental:
-                    report = check_incremental(IncrementalProof(cert.steps), trs)
-                else:
-                    report = check_certificate(cert.direct, trs)
+                report = check_certificate(cc.load(), trs)
                 assert not any(
                     c.verdict.is_unknown for c in report.conditions
                 ), cc.name

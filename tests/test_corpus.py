@@ -1,8 +1,7 @@
 """The embedded systems, their certificates, and the one-call verifier."""
 
 from polyterm.corpus import load_certificate, load_corpus, verify_all
-from polyterm.interp import check_certificate, lift_q_to_r
-from polyterm.prover import IncrementalProof, check_incremental
+from polyterm.interp import check_certificate, check_incremental, lift_q_to_r
 
 
 def test_rule_counts():
@@ -25,10 +24,7 @@ def test_every_positive_certificate_verifies_without_unknowns():
             if not cc.expect_accept:
                 continue
             cert = cc.load()
-            if cert.is_incremental:
-                report = check_incremental(IncrementalProof(cert.steps), trs)
-            else:
-                report = check_certificate(cert.direct, trs)
+            report = check_certificate(cert, trs)
             assert report.accepted, cc.name
             assert not any(c.verdict.is_unknown for c in report.conditions), cc.name
 
@@ -40,10 +36,7 @@ def test_every_negative_certificate_fails_at_its_site():
             if cc.expect_accept:
                 continue
             cert = cc.load()
-            if cert.is_incremental:
-                report = check_incremental(IncrementalProof(cert.steps), trs)
-            else:
-                report = check_certificate(cert.direct, trs)
+            report = check_certificate(cert, trs)
             assert not report.accepted, cc.name
             failures = report.failures()
             assert len(failures) == 1, (cc.name, [c.site() for c in failures])

@@ -16,11 +16,14 @@ from hypothesis import strategies as st
 
 import polyterm
 
+from polyterm import prover
 from polyterm.corpus import load_certificate, load_trs
 from polyterm.interp import (
+    Certificate,
     Interp,
     _margin,
     check_certificate,
+    check_incremental,
     check_monotone,
     check_well_defined,
     eval_term_with,
@@ -30,7 +33,6 @@ from polyterm.numeric import DomainTag, domain_n, domain_q, domain_r
 from polyterm.poly import Poly, monomial, parse_poly
 from polyterm.positivity import excess_at_least
 from polyterm.prover import (
-    IncrementalProof,
     SearchConfig,
     _candidate_permissible,
     _candidate_table,
@@ -40,7 +42,6 @@ from polyterm.prover import (
     _refuted_at_points,
     _symbol_candidates,
     _template_positions,
-    check_incremental,
     coefficient_grid,
     exhaustion_report,
     search_direct,
@@ -166,8 +167,7 @@ def test_check_incremental_accepts_shipped_proofs():
         ("r6.trs", "r6_inc_nat.cert"),
     ):
         trs = load_trs(trs_name)
-        steps = load_certificate(cert_name).steps
-        report = check_incremental(IncrementalProof(steps), trs)
+        report = check_incremental(load_certificate(cert_name), trs)
         assert report.accepted, cert_name
 
 
@@ -382,7 +382,7 @@ def _brute_incremental(trs, domain, cfg):
         residual = residual.subsystem(
             [i for i in range(len(residual.rules)) if i + 1 not in step[1]]
         )
-    return None if residual.rules else IncrementalProof(tuple(steps))
+    return None if residual.rules else Certificate(steps=tuple(steps))
 
 
 @pytest.mark.parametrize(
@@ -414,6 +414,23 @@ def test_point_refutation_scale():
     # a sqrt(2) grid switches point refutation off
     r_grid = SearchConfig(max_degree=1, max_coeff=1, sqrt_d=2)
     assert _candidate_table(SINGLE, domain_r(Fraction(1), 2), r_grid, False, None).scale is None
+
+
+@pytest.mark.parametrize(
+    "f, g", [("x1^2 + 2", "3*x1"), ("x1 + 2", "x1^2")], ids=["refuted-at-1", "refuted-at-16"]
+)
+def test_point_refutation_reaches_past_zero(monkeypatch, f, g):
+    # f(x) - g(x) - 1 is negative at x = 1 only (x^2 - 3x + 1), or at
+    # x = 16 only (-x^2 + x + 1), so no point but that one refutes the rule
+    trs = parse_trs("(VAR x) (RULES f(x) -> g(x))", name="f_g")
+    table = _candidate_table(trs, domain_n(), SearchConfig(max_degree=2, max_coeff=3), False, None)
+    composed = []
+    monkeypatch.setattr(prover, "_excess_proved", lambda *args: composed.append(args) or True)
+    (rec,) = table.rules
+    chosen = {"f": parse_poly(f), "g": parse_poly(g)}
+    pick = tuple(table.polys[s.name].index(chosen[s.name]) for s in rec.syms)
+    assert not table.holds(rec, "strict", pick)
+    assert composed == []
 
 
 # -- point refutation against the kernel's composition ---------------------------
