@@ -519,18 +519,16 @@ def _check_steps(steps, trs: Trs, domain) -> CheckReport:
     A step pairs an interpretation with the 1-based indices of the rules it
     removes from the residual at that step.  A direct certificate is one step
     whose indices are None: it removes every rule and carries no number.
-    ``domain`` (a kind or a DomainTag) fixes the carrier of every step.
+    ``domain`` (a kind or a DomainTag) fixes the carrier of every step.  No
+    steps prove a system without rules; otherwise residual-empty rejects them.
     """
-    if not steps:
-        raise ValueError("incremental proof needs at least one step")
     kind = domain.kind if isinstance(domain, DomainTag) else domain
     conds: list[Condition] = []
     residual = trs
     for number, (interp, removed) in enumerate(steps, start=1):
         kind = kind or interp.domain.kind
         if interp.domain.kind != kind:
-            where = "certificate" if removed is None else f"step {number}"
-            raise ValueError(f"{where} is over {interp.domain.kind}, expected {kind}")
+            raise ValueError(f"step {number} is over {interp.domain.kind}, expected {kind}")
         every = range(1, len(residual.rules) + 1)
         if removed is None:
             conds += _certificate_conditions(interp, residual, every, None, True)
@@ -554,12 +552,12 @@ def _check_steps(steps, trs: Trs, domain) -> CheckReport:
     return CheckReport(accepted, tuple(conds))
 
 
-def check_certificate(cert: Certificate | Interp, trs: Trs, domain=None) -> CheckReport:
+def check_certificate(cert: Certificate | Interp, trs: Trs) -> CheckReport:
     """Check a certificate, direct or stepwise; a bare Interp is a direct one."""
     if isinstance(cert, Interp):
         cert = Certificate(direct=cert)
     steps = cert.steps if cert.is_incremental else ((cert.direct, None),)
-    return _check_steps(steps, trs, domain)
+    return _check_steps(steps, trs, None)
 
 
 def check_incremental(proof, trs: Trs, domain=None) -> CheckReport:

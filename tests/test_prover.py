@@ -66,6 +66,14 @@ def test_search_direct_empty_trs():
     assert check_certificate(res.interp, empty).accepted
 
 
+def test_search_incremental_empty_trs_rechecks():
+    empty = parse_trs("(VAR x) (RULES )", name="empty")
+    res = search_incremental(empty, "N", SearchConfig(max_degree=1, max_coeff=1))
+    assert res.found and res.proof.steps == ()
+    assert check_certificate(res.proof, empty).accepted
+    assert not check_certificate(res.proof, SINGLE).accepted
+
+
 def test_search_direct_exhausts_r3_over_n():
     r3 = load_trs("r3.trs")
     res = search_direct(r3, "N", SearchConfig(max_degree=2, max_coeff=2))
