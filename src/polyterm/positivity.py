@@ -170,12 +170,18 @@ def _below_shift_nonneg(p: Poly, variables: list[str], s: int) -> bool:
 
 
 def _shifted_nonneg_n(p: Poly) -> Verdict | None:
+    """Decided at the least s whose shift has no negative coefficient.
+
+    Every larger s shifts to nonnegative coefficients too and pins a superset
+    of the same subproblems, so it cannot prove what s failed to.
+    """
     variables = p.variables()
     for s in range(1, DEFAULT_SHIFT_BOUND + 1):
         shifted = p.compose({v: Poly.var(v) + Poly.const(s) for v in variables})
         if all(scalar_sign(c) >= 0 for c in shifted.coeffs()):
-            if _below_shift_nonneg(p, variables, s):
-                return Verdict.proved(f"shifted-absolute-positiveness(s={s})")
+            if not _below_shift_nonneg(p, variables, s):
+                return None
+            return Verdict.proved(f"shifted-absolute-positiveness(s={s})")
     return None
 
 

@@ -49,8 +49,11 @@ filtered once per (arity, degree) and shared by a step's scout and picker.
 The table also carries the one compatibility decider, ``holds``, and its
 memo: the plan's samples, the scout and the picker ask it, so a check
 decided once in a space is never decided again there.
-``budget_seconds`` is checked in set-up too (per candidate group, plan rule
-and pass-list candidate), not only every 512 nodes.
+
+Each public operation has one ``_Budget``: the deadline of
+``budget_seconds`` and the DFS node count.  The candidate table carries it,
+and it is checked where the work is: per degree shape, per template filtered,
+before each compatibility decision not memoised, and every 512 nodes.
 """
 
 from __future__ import annotations
@@ -159,9 +162,21 @@ class _Found(Exception):
     """Early exit from the DFS; ``args[0]`` is what was found."""
 
 
-def _check_deadline(deadline: float | None) -> None:
-    if deadline is not None and time.monotonic() > deadline:
-        raise _BudgetExceeded
+class _Budget:
+    """One search's deadline (None: unbounded) and its DFS node count."""
+
+    def __init__(self, seconds: float | None):
+        self.deadline = None if seconds is None else time.monotonic() + seconds
+        self.nodes = 0
+
+    def check(self) -> None:
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise _BudgetExceeded
+
+    def tick(self) -> None:
+        self.nodes += 1
+        if self.nodes % 512 == 0:
+            self.check()
 
 
 # -- coefficient grids -------------------------------------------------------
@@ -208,7 +223,7 @@ def _shape_lb(t: Term, shape: Mapping[str, int]) -> int:
     return max(max(lbs), d * min(lbs))
 
 
-def _feasible_shapes(trs: Trs, cfg: SearchConfig) -> list[dict[str, int]]:
+def _feasible_shapes(trs: Trs, cfg: SearchConfig, budget: _Budget) -> list[dict[str, int]]:
     """Degree assignments not refuted by per-rule degree comparison."""
     choices = []
     for sym in trs.signature:
@@ -218,6 +233,7 @@ def _feasible_shapes(trs: Trs, cfg: SearchConfig) -> list[dict[str, int]]:
             choices.append(list(range(1, cfg.max_degree + 1)))
     shapes = []
     for combo in itertools.product(*choices):
+        budget.check()
         shape = {sym.name: d for sym, d in zip(trs.signature, combo)}
         if all(
             _shape_ub(r.lhs, shape) >= _shape_lb(r.rhs, shape) for r in trs.rules
@@ -251,6 +267,7 @@ def _symbol_candidates(
     domain: DomainTag,
     values: list[Scalar],
     require_weak: bool,
+    budget: _Budget,
 ) -> list[Poly]:
     """Well-defined, strictly (and optionally weakly) monotone templates."""
     positions = _template_positions(sym.arity, degree)
@@ -262,6 +279,7 @@ def _symbol_candidates(
     kinds = ("strict", "weak") if require_weak else ("strict",)
     out: list[Poly] = []
     for coeffs in itertools.product(values, repeat=len(positions)):
+        budget.check()
         if degree > 0 and all(scalar_sign(coeffs[i]) == 0 for i in top):
             continue  # belongs to a lower-degree template
         poly = Poly({m: c for m, c in zip(positions, coeffs)})
@@ -313,6 +331,7 @@ class _CandidateTable:
     scale: int | None
     forms: dict[str, list[tuple]]  # _int_form of each poly; empty if scale is None
     rules: tuple[_RuleRecord, ...]
+    budget: _Budget
     # memos, empty also in a dataclasses.replace copy:
     # (rule index, mode) -> pick -> bool, id(term) -> sub-pick -> Poly and
     # (id(term), v) -> sub-pick -> _point_value
@@ -329,6 +348,7 @@ class _CandidateTable:
         memo = self._decided[rec.index, mode]
         ok = memo.get(pick)
         if ok is None:
+            self.budget.check()
             (lhs, lhs_pos), (rhs, rhs_pos) = rec.sides
             margin = _margin(mode, self.domain)
             ok = not _refuted_at_points(
@@ -381,7 +401,7 @@ def _candidate_table(
     domain: DomainTag,
     cfg: SearchConfig,
     require_weak: bool,
-    deadline: float | None,
+    budget: _Budget,
 ) -> _CandidateTable:
     """Feasible shapes and per-symbol candidates of every feasible degree.
 
@@ -389,7 +409,7 @@ def _candidate_table(
     group is filtered once and shared by every symbol of that arity.
     """
     values = coefficient_grid(domain.kind, cfg)
-    shapes = _feasible_shapes(trs, cfg)
+    shapes = _feasible_shapes(trs, cfg, budget)
     groups: dict[tuple[int, int], list[Poly]] = {}
     polys: dict[str, list[Poly]] = {}
     degrees: dict[str, list[int]] = {}
@@ -398,8 +418,7 @@ def _candidate_table(
         for d in sorted({shape[sym.name] for shape in shapes}):
             key = (sym.arity, d)
             if key not in groups:
-                groups[key] = _symbol_candidates(sym, d, domain, values, require_weak)
-                _check_deadline(deadline)
+                groups[key] = _symbol_candidates(sym, d, domain, values, require_weak, budget)
             polys[sym.name].extend(groups[key])
             degrees[sym.name].extend([d] * len(groups[key]))
     coeffs = [c for group in groups.values() for p in group for c in p.coeffs()]
@@ -408,7 +427,9 @@ def _candidate_table(
         scale = math.lcm(*(c.denominator for c in coeffs))
         forms = {name: [_int_form(p, scale) for p in ps] for name, ps in polys.items()}
     rules = tuple(_rule_record(i, rule) for i, rule in enumerate(trs.rules, start=1))
-    return _CandidateTable(domain, require_weak, shapes, polys, degrees, scale, forms, rules)
+    return _CandidateTable(
+        domain, require_weak, shapes, polys, degrees, scale, forms, rules, budget
+    )
 
 
 # -- point refutation ----------------------------------------------------------
@@ -490,20 +511,11 @@ class _Searcher:
     the signature (canonical order, for first hits).
     """
 
-    def __init__(
-        self,
-        trs: Trs,
-        table: _CandidateTable,
-        planned: bool,
-        deadline: float | None,
-    ):
+    def __init__(self, trs: Trs, table: _CandidateTable, planned: bool):
         self.table = table
-        self.deadline = deadline
-        self.nodes = 0
-
         if planned:
             mode = "weak" if table.require_weak else "strict"
-            level_symbols = _plan_order(trs, table, mode, deadline=deadline)
+            level_symbols = _plan_order(trs, table, mode)
         else:
             level_symbols = list(trs.signature)
         self.symbols = level_symbols
@@ -552,11 +564,6 @@ class _Searcher:
         pick = tuple(map(self.idx.__getitem__, slot.pick_levels))
         return self.table.holds(slot.rec, mode, pick)
 
-    def _tick(self):
-        self.nodes += 1
-        if self.nodes % 512 == 0:
-            _check_deadline(self.deadline)
-
     def _level_candidates(self, level: int, mode: str) -> "list[int]":
         """Candidate indices at a level, pre-filtered by the driver rules.
 
@@ -572,7 +579,6 @@ class _Searcher:
         if passing is None:
             passing = []
             for ci in range(len(self.cands[level])):
-                _check_deadline(self.deadline)
                 self.idx[level] = ci
                 if all(self._compat(slot, mode) for slot in driver):
                     passing.append(ci)
@@ -602,7 +608,7 @@ class _Searcher:
                 new_degrees = degrees + (cand_degrees[ci],)
                 if not self._shape_feasible(new_degrees):
                     continue
-                self._tick()
+                self.table.budget.tick()
                 self.idx[level] = ci
                 child = visit(level, state)
                 if child is not None:
@@ -611,14 +617,14 @@ class _Searcher:
 
         walk(0, (), 0)
 
-    def iterate(self, prune_mode: str, on_leaf) -> None:
-        """DFS over assignments; prune with weak or strict compatibility."""
+    def iterate(self, on_leaf) -> None:
+        """DFS over assignments, pruned by strict compatibility."""
 
         def visit(level: int, state):
-            ok = all(self._compat(slot, prune_mode) for slot in self.other_rules[level])
+            ok = all(self._compat(slot, "strict") for slot in self.other_rules[level])
             return state if ok else None
 
-        self._descend(prune_mode, visit, lambda state: on_leaf())
+        self._descend("strict", visit, lambda state: on_leaf())
 
     def scan_removal(
         self, target: int | None = None
@@ -688,9 +694,7 @@ def _rule_selectivity(
     return (passed + 1) / (_SELECTIVITY_SAMPLES + 2)
 
 
-def _plan_order(
-    trs: Trs, table: _CandidateTable, mode: str, *, deadline: float | None = None
-) -> list[FunSym]:
+def _plan_order(trs: Trs, table: _CandidateTable, mode: str) -> list[FunSym]:
     """Level order minimizing estimated enumeration volume.
 
     A rule prunes a prefix as soon as all its symbols are assigned, with a
@@ -712,9 +716,7 @@ def _plan_order(
         mask = 0
         for s in rec.syms:
             mask |= 1 << symbols.index(s)
-        sigma = _rule_selectivity(rec, table, mode, rng)
-        rule_masks.append((mask, sigma))
-        _check_deadline(deadline)
+        rule_masks.append((mask, _rule_selectivity(rec, table, mode, rng)))
     table.drop_side_memos()
 
     counts = [max(1, len(candidates[s.name])) for s in symbols]
@@ -769,71 +771,68 @@ def _domains_to_try(domain, cfg: SearchConfig) -> list[DomainTag]:
     raise ValueError(f"unknown domain {domain!r}")
 
 
-def _deadline(cfg: SearchConfig) -> float | None:
-    if cfg.budget_seconds is None:
-        return None
-    return time.monotonic() + cfg.budget_seconds
-
-
 # -- public operations ----------------------------------------------------------
+
+
+def _strict_scan(
+    trs: Trs, domain, cfg: SearchConfig, budget: _Budget, planned: bool, on_leaf
+) -> "tuple[str, Interp | None]":
+    """The strict DFS over each configured delta in turn, under one budget.
+
+    ``on_leaf(searcher)`` runs on every certificate and may stop the scan by
+    raising ``_Found``.  Returns ("found", what was found), ("exhausted",
+    None) or ("budget", None).
+    """
+    try:
+        for tag in _domains_to_try(domain, cfg):
+            searcher = _Searcher(trs, _candidate_table(trs, tag, cfg, False, budget), planned)
+            searcher.iterate(partial(on_leaf, searcher))
+            del searcher  # its memos would stay alive while the next delta is set up
+    except _Found as hit:
+        return "found", hit.args[0]
+    except _BudgetExceeded:
+        return "budget", None
+    return "exhausted", None
 
 
 def search_direct(trs: Trs, domain, cfg: SearchConfig) -> SearchResult:
     """First certificate in canonical order, or exhausted/budget status."""
     start = time.monotonic()
-    deadline = _deadline(cfg)
-    nodes = 0
-    for tag in _domains_to_try(domain, cfg):
-        searcher = None
+    budget = _Budget(cfg.budget_seconds)
 
-        def grab():
-            raise _Found(searcher.interp_from_state())
+    def grab(searcher: _Searcher):
+        raise _Found(searcher.interp_from_state())
 
-        try:
-            table = _candidate_table(trs, tag, cfg, False, deadline)
-            searcher = _Searcher(trs, table, planned=False, deadline=deadline)
-            searcher.iterate("strict", grab)
-        except _Found as hit:
-            return SearchResult("found", hit.args[0], nodes=nodes + searcher.nodes,
-                                elapsed=time.monotonic() - start)
-        except _BudgetExceeded:
-            used = searcher.nodes if searcher is not None else 0
-            return SearchResult("budget", nodes=nodes + used,
-                                elapsed=time.monotonic() - start)
-        nodes += searcher.nodes
-    return SearchResult("exhausted", nodes=nodes, elapsed=time.monotonic() - start)
+    status, interp = _strict_scan(trs, domain, cfg, budget, False, grab)
+    return SearchResult(status, interp, budget.nodes, time.monotonic() - start)
 
 
 def _best_step(
-    trs: Trs, tag: DomainTag, cfg: SearchConfig, deadline: float | None
-) -> "tuple[tuple[Interp, tuple[int, ...]] | None, int]":
+    trs: Trs, tag: DomainTag, cfg: SearchConfig, budget: _Budget
+) -> "tuple[Interp, tuple[int, ...]] | None":
     """The valid interpretation removing the most rules (ties: least key).
 
     A planned scout finds the best score, then a signature-ordered picker
     finds the canonically least interpretation reaching it; both read one
     candidate table.
     """
-    table = _candidate_table(trs, tag, cfg, True, deadline)
-    scout = _Searcher(trs, table, planned=True, deadline=deadline)
-    top = scout.scan_removal()
+    table = _candidate_table(trs, tag, cfg, True, budget)
+    top = _Searcher(trs, table, planned=True).scan_removal()
     if not top:
-        return None, scout.nodes
-    picker = _Searcher(trs, table, planned=False, deadline=deadline)
-    choice = picker.scan_removal(target=top)
-    return choice, scout.nodes + picker.nodes
+        return None
+    return _Searcher(trs, table, planned=False).scan_removal(target=top)
 
 
 def search_incremental(trs: Trs, domain, cfg: SearchConfig) -> IncrementalResult:
     """Greedy removal loop per Definition of stepwise polynomial termination."""
     start = time.monotonic()
-    deadline = _deadline(cfg)
+    budget = _Budget(cfg.budget_seconds)
     tags = _domains_to_try(domain, cfg)
     steps: list[tuple[Interp, tuple[int, ...]]] = []
     residual = trs
-    nodes = 0
 
     def result(status: str, proof: Certificate | None = None) -> IncrementalResult:
-        return IncrementalResult(status, proof, nodes, time.monotonic() - start)
+        return IncrementalResult(status, proof, budget.nodes, time.monotonic() - start)
 
     while residual.rules:
         if len(steps) >= cfg.max_steps:
@@ -841,10 +840,9 @@ def search_incremental(trs: Trs, domain, cfg: SearchConfig) -> IncrementalResult
         best_choice = None
         for tag in tags:
             try:
-                choice, used = _best_step(residual, tag, cfg, deadline)
+                choice = _best_step(residual, tag, cfg, budget)
             except _BudgetExceeded:
                 return result("budget")
-            nodes += used
             if choice is not None:
                 removed = choice[1]
                 if best_choice is None or len(removed) > len(best_choice[1]):
@@ -889,38 +887,25 @@ class ExhaustionReport:
 def exhaustion_report(trs: Trs, domain, cfg: SearchConfig) -> ExhaustionReport:
     """Enumerate the whole space, counting every direct certificate in it."""
     start = time.monotonic()
-    deadline = _deadline(cfg)
+    budget = _Budget(cfg.budget_seconds)
     kind = domain.kind if isinstance(domain, DomainTag) else str(domain)
     count = 0
     examples: list[str] = []
-    nodes = 0
-    complete = True
-    for tag in _domains_to_try(domain, cfg):
-        searcher = None
 
-        def leaf():
-            nonlocal count
-            count += 1
-            if len(examples) < _KEPT_EXAMPLES:
-                examples.append(repr(searcher.interp_from_state()))
+    def leaf(searcher: _Searcher):
+        nonlocal count
+        count += 1
+        if len(examples) < _KEPT_EXAMPLES:
+            examples.append(repr(searcher.interp_from_state()))
 
-        try:
-            table = _candidate_table(trs, tag, cfg, False, deadline)
-            searcher = _Searcher(trs, table, planned=True, deadline=deadline)
-            searcher.iterate("strict", leaf)
-        except _BudgetExceeded:
-            complete = False
-        if searcher is not None:
-            nodes += searcher.nodes
-        if not complete:
-            break
+    status, _ = _strict_scan(trs, domain, cfg, budget, True, leaf)
     return ExhaustionReport(
         trs.name or "trs",
         kind,
         cfg.bounds_text(kind),
-        complete,
+        status == "exhausted",
         count,
         tuple(examples),
-        nodes,
+        budget.nodes,
         time.monotonic() - start,
     )

@@ -78,6 +78,37 @@ def test_check_deeply_nested_certificate_is_usage_error(tmp_path):
     assert "nests deeper than 256" in report.text
 
 
+def test_check_unknown_verdict(tmp_path):
+    # f - g - 1 = (x - y)^2 + 1 > 0 on N^2, but no rung of the ladder proves it
+    trs = tmp_path / "fg.trs"
+    trs.write_text("(VAR x y) (RULES f(x, y) -> g(x, y))")
+    cert = tmp_path / "fg.cert"
+    cert.write_text(
+        "(DOMAIN N) (INTERP (f (x1 x2) x1^2 + x2^2 + x1 + x2 + 2) (g (x1 x2) 2*x1*x2 + x1 + x2))"
+    )
+    report = run_cli(["check", "--trs", str(trs), "--cert", str(cert)])
+    assert report.exit_code == 2
+    lines = report.text.splitlines()
+    assert lines[0] == "VERDICT unknown"
+    assert "  RULE 1 strict unknown" in lines
+
+
+def test_empty_steps_certificate_round_trips(tmp_path):
+    trs = tmp_path / "empty.trs"
+    trs.write_text("(VAR x) (RULES )")
+    out = tmp_path / "empty.cert"
+    prove = run_cli(
+        ["prove", "--trs", str(trs), "--domain", "N", "--incremental", "--out", str(out)]
+    )
+    assert prove.exit_code == 0
+    check = run_cli(["check", "--trs", str(trs), "--cert", str(out)])
+    assert (check.exit_code, check.text) == (0, "VERDICT accepted")
+    # against a system with rules, no steps leave every rule in the residual
+    rejected = run_cli(["check", "--trs", str(DATA / "r1.trs"), "--cert", str(out)])
+    assert rejected.exit_code == 1
+    assert rejected.text.splitlines()[:2] == ["VERDICT rejected", "  residual-empty disproved"]
+
+
 def test_check_cert_for_wrong_trs_is_usage_error():
     report = run_cli(
         ["check", "--trs", str(DATA / "r3.trs"), "--cert", str(DATA / "r1_nat.cert")]

@@ -286,8 +286,10 @@ def test_certificate_parse_errors():
         parse_certificate("(DOMAIN Q) (INTERP (f (x1) x1))")  # missing delta
     with pytest.raises(ValueError):
         parse_certificate("(DOMAIN N) (INTERP (f (x1) x1 + y))")
-    with pytest.raises(ValueError):
-        parse_certificate("(STEPS )")
+    # no steps is a well-formed stepwise certificate; the checker rejects it
+    # wherever rules remain
+    empty = parse_certificate("(STEPS )")
+    assert empty.steps == () and parse_certificate(format_certificate(empty)) == empty
 
 
 def test_criteria_agree_with_general_reduction_spot():

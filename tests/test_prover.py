@@ -34,6 +34,7 @@ from polyterm.poly import Poly, monomial, parse_poly
 from polyterm.positivity import excess_at_least
 from polyterm.prover import (
     SearchConfig,
+    _Budget,
     _candidate_permissible,
     _candidate_table,
     _int_form,
@@ -132,8 +133,9 @@ def test_budget_is_reported():
 
 
 def test_budget_overshoot_is_bounded():
-    # the deadline is also checked while candidate lists, the level plan
-    # and pass-lists are built, not only every 512 DFS nodes
+    # the deadline is checked per degree shape, per template filtered and per
+    # compatibility decision too, not only every 512 DFS nodes; filtering the
+    # 15,625 binary quadratic templates of h alone takes seconds
     q = SearchConfig(
         max_degree=2, max_coeff=4, denominators=(1, 2, 4),
         deltas=(Fraction(1, 2), Fraction(1)), budget_seconds=0.05,
@@ -142,11 +144,19 @@ def test_budget_overshoot_is_bounded():
         max_degree=2, max_coeff=5, denominators=(1, 2), deltas=(Fraction(1),),
         budget_seconds=0.05,
     )
+    binary = SearchConfig(max_degree=2, max_coeff=2, budget_seconds=0.05)
     r1, r2 = load_trs("r1.trs"), load_trs("r2.trs")
+    h = parse_trs("(VAR x y) (RULES h(x, y) -> x)", name="h")
+    # 2^18 degree shapes: enumerating them alone takes seconds
+    links = "  ".join(f"a{i}(x) -> a{i + 1}(x)" for i in range(1, 18))
+    chain = parse_trs(f"(VAR x) (RULES {links})", name="chain")
     runs = (
         lambda: exhaustion_report(r1, "Q", q).line().split()[0],
         lambda: exhaustion_report(r2, "Q", q).line().split()[0],
         lambda: search_incremental(r1, "Q", inc).status,
+        lambda: exhaustion_report(h, "N", binary).line().split()[0],
+        lambda: search_direct(h, "N", binary).status,
+        lambda: exhaustion_report(chain, "N", binary).line().split()[0],
     )
     for run in runs:
         started = time.monotonic()
@@ -315,11 +325,13 @@ import random
 from fractions import Fraction
 from polyterm.corpus import load_trs
 from polyterm.numeric import DomainTag
-from polyterm.prover import SearchConfig, _candidate_table, _plan_order, _rule_selectivity
+from polyterm.prover import (
+    SearchConfig, _Budget, _candidate_table, _plan_order, _rule_selectivity,
+)
 trs = load_trs("r6.trs")
 domain = DomainTag("Q", Fraction(1))
 cfg = SearchConfig(max_degree=1, max_coeff=2, denominators=(1,))
-table = _candidate_table(trs, domain, cfg, True, None)
+table = _candidate_table(trs, domain, cfg, True, _Budget(None))
 rng = random.Random(0)
 print([_rule_selectivity(rec, table, "weak", rng) for rec in table.rules])
 print(",".join(s.name for s in _plan_order(trs, table, "weak")))
@@ -355,7 +367,7 @@ def _unpruned(trs, domain, cfg, require_weak):
         [
             poly
             for d in ([0] if sym.arity == 0 else range(1, cfg.max_degree + 1))
-            for poly in _symbol_candidates(sym, d, domain, values, require_weak)
+            for poly in _symbol_candidates(sym, d, domain, values, require_weak, _Budget(None))
         ]
         for sym in trs.signature
     ]
@@ -417,11 +429,12 @@ def test_search_matches_unpruned_enumeration(trs, domain, cfg):
 
 def test_point_refutation_scale():
     nest_q = SearchConfig(max_degree=2, max_coeff=1, denominators=(1, 2, 4))
-    assert _candidate_table(NEST, _HALF, nest_q, False, None).scale == 4
-    assert _candidate_table(NEST, domain_n(), nest_q, False, None).scale == 1
+    assert _candidate_table(NEST, _HALF, nest_q, False, _Budget(None)).scale == 4
+    assert _candidate_table(NEST, domain_n(), nest_q, False, _Budget(None)).scale == 1
     # a sqrt(2) grid switches point refutation off
     r_grid = SearchConfig(max_degree=1, max_coeff=1, sqrt_d=2)
-    assert _candidate_table(SINGLE, domain_r(Fraction(1), 2), r_grid, False, None).scale is None
+    r_table = _candidate_table(SINGLE, domain_r(Fraction(1), 2), r_grid, False, _Budget(None))
+    assert r_table.scale is None
 
 
 @pytest.mark.parametrize(
@@ -431,7 +444,8 @@ def test_point_refutation_reaches_past_zero(monkeypatch, f, g):
     # f(x) - g(x) - 1 is negative at x = 1 only (x^2 - 3x + 1), or at
     # x = 16 only (-x^2 + x + 1), so no point but that one refutes the rule
     trs = parse_trs("(VAR x) (RULES f(x) -> g(x))", name="f_g")
-    table = _candidate_table(trs, domain_n(), SearchConfig(max_degree=2, max_coeff=3), False, None)
+    cfg = SearchConfig(max_degree=2, max_coeff=3)
+    table = _candidate_table(trs, domain_n(), cfg, False, _Budget(None))
     composed = []
     monkeypatch.setattr(prover, "_excess_proved", lambda *args: composed.append(args) or True)
     (rec,) = table.rules
@@ -500,7 +514,7 @@ def _decider_space(name):
         "r4-R": (load_trs("r4.trs"), domain_r(Fraction(1), 2),
                  SearchConfig(max_degree=2, max_coeff=1, sqrt_d=2)),
     }[name]
-    return trs, _candidate_table(trs, domain, cfg, False, None)
+    return trs, _candidate_table(trs, domain, cfg, False, _Budget(None))
 
 
 def _question(table):
@@ -536,7 +550,7 @@ def test_plan_order_falls_back_past_14_symbols():
     rules = "  ".join(f"a{i}(x) -> a{i + 1}(x)" for i in range(1, 15))
     chain = parse_trs(f"(VAR x) (RULES {rules})", name="chain")
     cfg = SearchConfig(max_degree=1, max_coeff=1)
-    table = _candidate_table(chain, domain_n(), cfg, False, None)
+    table = _candidate_table(chain, domain_n(), cfg, False, _Budget(None))
     assert all(ps == [parse_poly("x1"), parse_poly("x1 + 1")] for ps in table.polys.values())
     order = _plan_order(chain, table, "strict")
     signature = list(chain.signature)
