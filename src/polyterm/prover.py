@@ -52,8 +52,10 @@ decided once in a space is never decided again there.
 
 Each public operation has one ``_Budget``: the deadline of
 ``budget_seconds`` and the DFS node count.  The candidate table carries it,
-and it is checked where the work is: per degree shape, per template filtered,
-before each compatibility decision not memoised, and every 512 nodes.
+and it is checked where the work is: per degree shape, per template group and
+template, before each compatibility decision not memoised, and every 512 nodes.
+A group is cut ``_GROUP_GRACE`` s past the deadline; a run cut sooner stops
+between groups, so its work counts repeat.
 """
 
 from __future__ import annotations
@@ -96,6 +98,7 @@ __all__ = [
 _SELECTIVITY_SAMPLES = 160  # random candidate tuples per rule in _plan_order
 _REFUTE_POINTS = (0, 1, 16)  # all-equal carrier points tried before composing
 _KEPT_EXAMPLES = 3  # certificates an exhaustion report prints
+_GROUP_GRACE = 0.5  # seconds past the deadline before a template group is cut
 
 
 @dataclass(frozen=True)
@@ -169,8 +172,8 @@ class _Budget:
         self.deadline = None if seconds is None else time.monotonic() + seconds
         self.nodes = 0
 
-    def check(self) -> None:
-        if self.deadline is not None and time.monotonic() > self.deadline:
+    def check(self, grace: float = 0.0) -> None:
+        if self.deadline is not None and time.monotonic() > self.deadline + grace:
             raise _BudgetExceeded
 
     def tick(self) -> None:
@@ -279,7 +282,7 @@ def _symbol_candidates(
     kinds = ("strict", "weak") if require_weak else ("strict",)
     out: list[Poly] = []
     for coeffs in itertools.product(values, repeat=len(positions)):
-        budget.check()
+        budget.check(_GROUP_GRACE)
         if degree > 0 and all(scalar_sign(coeffs[i]) == 0 for i in top):
             continue  # belongs to a lower-degree template
         poly = Poly({m: c for m, c in zip(positions, coeffs)})
@@ -418,6 +421,7 @@ def _candidate_table(
         for d in sorted({shape[sym.name] for shape in shapes}):
             key = (sym.arity, d)
             if key not in groups:
+                budget.check()
                 groups[key] = _symbol_candidates(sym, d, domain, values, require_weak, budget)
             polys[sym.name].extend(groups[key])
             degrees[sym.name].extend([d] * len(groups[key]))

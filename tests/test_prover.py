@@ -135,7 +135,8 @@ def test_budget_is_reported():
 def test_budget_overshoot_is_bounded():
     # the deadline is checked per degree shape, per template filtered and per
     # compatibility decision too, not only every 512 DFS nodes; filtering the
-    # 15,625 binary quadratic templates of h alone takes seconds
+    # 15,625 binary quadratic templates of h alone takes seconds, and is cut
+    # once prover._GROUP_GRACE has passed after the deadline
     q = SearchConfig(
         max_degree=2, max_coeff=4, denominators=(1, 2, 4),
         deltas=(Fraction(1, 2), Fraction(1)), budget_seconds=0.05,
@@ -164,6 +165,23 @@ def test_budget_overshoot_is_bounded():
         elapsed = time.monotonic() - started
         assert outcome in ("INCONCLUSIVE", "budget")
         assert elapsed < 1.0, f"{outcome} after {elapsed:.2f}s"
+
+
+def test_budget_cuts_between_template_groups(monkeypatch):
+    # past the deadline, a group being filtered still runs for the grace, but
+    # no new group starts: a run cut between groups repeats its work
+    cfg = SearchConfig(max_degree=2, max_coeff=1)
+    values = coefficient_grid("N", cfg)
+    late = _Budget(0.0)
+    whole = _symbol_candidates(FunSym("s", 1), 2, domain_n(), values, False, _Budget(None))
+    assert _symbol_candidates(FunSym("s", 1), 2, domain_n(), values, False, late) == whole
+    shapes = prover._feasible_shapes
+    monkeypatch.setattr(prover, "_feasible_shapes", lambda t, c, b: shapes(t, c, _Budget(None)))
+    with pytest.raises(prover._BudgetExceeded):
+        _candidate_table(load_trs("r1.trs"), domain_n(), cfg, False, late)
+    with pytest.raises(prover._BudgetExceeded):
+        late.check()
+    late.check(grace=60.0)
 
 
 def test_exhaustion_drops_compositions_past_the_limits():
