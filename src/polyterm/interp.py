@@ -38,11 +38,15 @@ indices are 1-based positions in the residual system at that step::
 
     (STEPS (STEP (DOMAIN ..) (INTERP ..) (REMOVE 1 3 4)) ...)
 
+The tokens are ``(``, ``)`` and atoms ``[^ \t\r\n();]+``.  Blanks (space,
+tab, CR and LF only) and comments, from ``;`` to the end of the line,
+separate them; a polynomial is read from its atoms joined by spaces.
 Parentheses nest at most ``trs.MAX_NESTING`` levels deep.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -599,52 +603,33 @@ class Certificate:
         return self.steps is not None
 
 
-def _read_sexprs(text: str):
-    pos = 0
-    n = len(text)
+_SEXPR_TOKEN = re.compile(r"[ \t\r\n]+|;[^\n]*|([()])|([^ \t\r\n();]+)")
 
-    def skip_ws():
-        nonlocal pos
-        while pos < n:
-            if text[pos] in " \t\r\n":
-                pos += 1
-            elif text[pos] == ";":
-                while pos < n and text[pos] != "\n":
-                    pos += 1
-            else:
-                break
 
-    def read_form(depth: int):
-        nonlocal pos
-        skip_ws()
-        if pos >= n:
-            raise ValueError("unexpected end of certificate")
-        if text[pos] == "(":
-            if depth > MAX_NESTING:
+def _read_sexprs(text: str) -> list:
+    """The top-level forms of a certificate: atoms are strings, lists are lists."""
+    stack: list[list] = [[]]  # the open lists, outermost first
+    for m in _SEXPR_TOKEN.finditer(text):
+        paren, atom = m.groups()
+        if atom is not None:
+            stack[-1].append(atom)
+        elif paren == "(":
+            if len(stack) > MAX_NESTING:
                 raise ValueError(f"certificate nests deeper than {MAX_NESTING} levels")
-            pos += 1
-            items = []
-            while True:
-                skip_ws()
-                if pos >= n:
-                    raise ValueError("unbalanced parenthesis in certificate")
-                if text[pos] == ")":
-                    pos += 1
-                    return items
-                items.append(read_form(depth + 1))
-        if text[pos] == ")":
-            raise ValueError("unexpected ')' in certificate")
-        start = pos
-        while pos < n and text[pos] not in " \t\r\n();":
-            pos += 1
-        return text[start:pos]
+            stack.append([])
+        elif paren == ")":
+            if len(stack) == 1:
+                raise ValueError("unexpected ')' in certificate")
+            stack[-2].append(stack.pop())
+    if len(stack) > 1:
+        raise ValueError("unbalanced parenthesis in certificate")
+    return stack[0]
 
-    forms = []
-    while True:
-        skip_ws()
-        if pos >= n:
-            return forms
-        forms.append(read_form(1))
+
+def _integer(form) -> int:
+    if not isinstance(form, str):
+        raise ValueError(f"expected an integer, got {_render(form)!r}")
+    return int(form)
 
 
 def _render(form) -> str:
@@ -677,7 +662,7 @@ def _parse_domain(form) -> DomainTag:
         elif sub[0] == "SQRT":
             if len(sub) != 2:
                 raise ValueError("SQRT takes one integer")
-            d = int(sub[1])
+            d = _integer(sub[1])
         else:
             raise ValueError(f"unknown domain attribute {sub[0]!r}")
     if kind not in ("Q", "R"):
@@ -726,7 +711,7 @@ def parse_certificate(text: str) -> Certificate:
             rem_form = step_form[3]
             if not isinstance(rem_form, list) or not rem_form or rem_form[0] != "REMOVE":
                 raise ValueError("expected (REMOVE i j ...)")
-            removed = tuple(int(tok) for tok in rem_form[1:])
+            removed = tuple(map(_integer, rem_form[1:]))
             steps.append((interp, removed))
         return Certificate(steps=tuple(steps))
     if len(forms) != 2:

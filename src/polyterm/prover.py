@@ -147,7 +147,7 @@ class SearchResult:
 
 @dataclass(frozen=True)
 class IncrementalResult:
-    status: str  # "found" | "exhausted" | "budget" | "no-progress"
+    status: str  # "found" | "budget" | "no-progress"
     proof: Certificate | None = None  # stepwise
     nodes: int = 0
     elapsed: float = 0.0

@@ -6,8 +6,10 @@ The file grammar is the old-style interchange shape::
     rule  := term "->" term
     term  := ident | ident "(" term ("," term)* ")"
 
-Identifiers are ``[A-Za-z0-9_']+``; whitespace and newlines are
-insignificant; ``;`` starts a comment running to end of line.  Identifiers
+The tokens are ``->``, ``(``, ``)``, ``,`` and identifiers
+``[A-Za-z0-9_']+``.  Blanks (space, tab, CR and LF only) and comments, from
+``;`` to the end of the line, separate tokens; any other character, such as
+a form feed or a no-break space, is an error at its line:column.  Identifiers
 listed in the VAR section are variables, every other identifier is a
 function symbol whose arity is fixed by its first use.  Numerals like ``0``
 are ordinary constant symbols.  Terms nest at most ``MAX_NESTING`` levels
@@ -16,8 +18,8 @@ deep, so that hostile input is rejected before it exhausts the stack.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Iterator
 
 __all__ = [
     "FunSym",
@@ -131,13 +133,7 @@ class Rule:
                 raise TrsError(f"variable {v!r} of right-hand side not in left-hand side")
 
     def variables(self) -> list[str]:
-        out = term_vars(self.lhs)
-        seen = set(out)
-        for v in term_vars(self.rhs):
-            if v not in seen:
-                seen.add(v)
-                out.append(v)
-        return out
+        return term_vars(self.lhs)  # the rhs variables are among them
 
 
 @dataclass(frozen=True)
@@ -180,60 +176,32 @@ def make_trs(rules: list[Rule], name: str = "") -> Trs:
 
 # -- parsing ------------------------------------------------------------------
 
-_IDENT_CHARS = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_'")
+_TOKEN = re.compile(
+    r"(?P<blank>[ \t\r\n]+|;[^\n]*)|(?P<punct>->|[(),])|(?P<ident>[A-Za-z0-9_']+)|(?P<bad>.)"
+)
 
 
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def _advance(self, n: int):
-        for _ in range(n):
-            if self.text[self.pos] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.pos += 1
-
-    def tokens(self) -> Iterator[tuple[str, str, int, int]]:
-        text = self.text
-        while self.pos < len(text):
-            ch = text[self.pos]
-            if ch in " \t\r\n":
-                self._advance(1)
-                continue
-            if ch == ";":
-                while self.pos < len(text) and text[self.pos] != "\n":
-                    self._advance(1)
-                continue
-            line, col = self.line, self.col
-            if ch in "(),":
-                self._advance(1)
-                yield (ch, ch, line, col)
-                continue
-            if text.startswith("->", self.pos):
-                self._advance(2)
-                yield ("->", "->", line, col)
-                continue
-            if ch in _IDENT_CHARS:
-                end = self.pos
-                while end < len(text) and text[end] in _IDENT_CHARS:
-                    end += 1
-                ident = text[self.pos : end]
-                self._advance(end - self.pos)
-                yield ("ident", ident, line, col)
-                continue
-            raise TrsParseError(f"unexpected character {ch!r}", line, col)
-        yield ("eof", "", self.line, self.col)
+def _tokens(text: str) -> list[tuple[str, str, int, int]]:
+    """(kind, text, line, column) per token, ending in eof; punctuation is its own kind."""
+    toks = []
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind, tok, col = m.lastgroup, m.group(), m.start() - line_start + 1
+        if kind == "blank":
+            if "\n" in tok:
+                line += tok.count("\n")
+                line_start = m.start() + tok.rindex("\n") + 1
+        elif kind == "bad":
+            raise TrsParseError(f"unexpected character {tok!r}", line, col)
+        else:
+            toks.append((tok if kind == "punct" else kind, tok, line, col))
+    toks.append(("eof", "", line, len(text) - line_start + 1))
+    return toks
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.toks = list(_Lexer(text).tokens())
+        self.toks = _tokens(text)
         self.i = 0
         self.vars: set[str] = set()
         self.arities: dict[str, int] = {}
@@ -241,27 +209,24 @@ class _Parser:
     def peek(self):
         return self.toks[self.i]
 
-    def take(self, kind: str | None = None, value: str | None = None):
+    def take(self, kind: str, text: str | None = None):
+        """The next token, which must be of ``kind`` and, if given, spell ``text``."""
         tok = self.toks[self.i]
-        if kind is not None and tok[0] != kind:
+        if tok[0] != kind:
             raise TrsParseError(f"expected {kind}, got {tok[1]!r}", tok[2], tok[3])
-        if value is not None and tok[1] != value:
-            raise TrsParseError(f"expected {value!r}, got {tok[1]!r}", tok[2], tok[3])
+        if text is not None and tok[1] != text:
+            raise TrsParseError(f"expected {text}, got {tok[1]!r}", tok[2], tok[3])
         self.i += 1
         return tok
 
     def parse(self, name: str = "") -> Trs:
         self.take("(")
-        tok = self.take("ident")
-        if tok[1] != "VAR":
-            raise TrsParseError(f"expected VAR, got {tok[1]!r}", tok[2], tok[3])
+        self.take("ident", "VAR")
         while self.peek()[0] == "ident":
             self.vars.add(self.take("ident")[1])
         self.take(")")
         self.take("(")
-        tok = self.take("ident")
-        if tok[1] != "RULES":
-            raise TrsParseError(f"expected RULES, got {tok[1]!r}", tok[2], tok[3])
+        self.take("ident", "RULES")
         rules: list[Rule] = []
         while self.peek()[0] == "ident":
             rules.append(self.parse_rule())
@@ -279,15 +244,10 @@ class _Parser:
         self.take("->")
         rtok = self.peek()
         rhs = self.parse_term()
-        lv = set(term_vars(lhs))
-        for v in term_vars(rhs):
-            if v not in lv:
-                raise TrsParseError(
-                    f"variable {v!r} of right-hand side not in left-hand side",
-                    rtok[2],
-                    rtok[3],
-                )
-        return Rule(lhs, rhs)
+        try:
+            return Rule(lhs, rhs)
+        except TrsError as exc:
+            raise TrsParseError(str(exc), rtok[2], rtok[3]) from None
 
     def parse_term(self, depth: int = 1) -> Term:
         tok = self.take("ident")
@@ -330,9 +290,7 @@ def parse_trs(text: str, name: str = "") -> Trs:
 
 def parse_term_text(text: str, variables: set[str]) -> Term:
     """Parse a single term given the set of variable names (for tests)."""
-    p = _Parser("")
-    p.toks = list(_Lexer(text).tokens())
-    p.i = 0
+    p = _Parser(text)
     p.vars = set(variables)
     t = p.parse_term()
     p.take("eof")
@@ -352,13 +310,7 @@ def format_term(t: Term) -> str:
 
 def format_trs(trs: Trs) -> str:
     """Render in the file grammar; parse_trs(format_trs(t)) == t structurally."""
-    varnames: list[str] = []
-    seen: set[str] = set()
-    for r in trs.rules:
-        for v in r.variables():
-            if v not in seen:
-                seen.add(v)
-                varnames.append(v)
+    varnames = list(dict.fromkeys(v for r in trs.rules for v in r.variables()))
     lines = [f"(VAR {' '.join(varnames)})" if varnames else "(VAR )"]
     lines.append("(RULES")
     for r in trs.rules:

@@ -1,5 +1,6 @@
 """The command-line front end: subcommands, exit codes, report shape."""
 
+import hashlib
 import pathlib
 
 import pytest
@@ -267,3 +268,59 @@ def test_conflicting_prove_flags_are_usage_errors(tmp_path):
         assert sqrt.exit_code == 3
         assert sqrt.text == "ERROR usage: --sqrt needs --domain R"
     assert run_cli(prove + ["--domain", "R", "--sqrt", "2"]).exit_code == 0
+
+
+# sha256 of "<exit code>\n<stdout>" per shipped file: `check` of each
+# certificate against the system its name starts with, `parse` of each
+# system (the data directory masked), and `corpus verify`; the outputs must
+# stay byte-identical from change to change
+_GOLDEN = {
+    "r1_inc_q.cert": "00f4b7a875392e059742d53d816f1df5a04881a7708abb91cb283ff5a6e0dcb1",
+    "r1_inc_q_bad.cert": "e1285df7b4c141a35b2de8f5c72a1775c3d7781db29b97749af0349bc4c63998",
+    "r1_nat.cert": "7ff933913da291703a66253d4beffc04e934823582042e66f0f0b08054340ff3",
+    "r1_nat_as_q.cert": "969ee5e7225dc1667719e547c74182fb835b9d8ee0c95834f362114f9346752b",
+    "r1_nat_bad.cert": "031f22c78b2f316236746d9b09e2fe85b65c458fa8aef2f77814f013ad5a3d86",
+    "r2_nat.cert": "3ac65cff680c20ce5055a26b36f6e95a4c5aaf736bf1400130a2b72c65bf2712",
+    "r2_nat_bad.cert": "4413dd6df220d167029b364d66fe6cd216bf407ef074ab328d3d7149b4b657f7",
+    "r2_real.cert": "3ac65cff680c20ce5055a26b36f6e95a4c5aaf736bf1400130a2b72c65bf2712",
+    "r2_real_bad.cert": "2deccc00d7ff95dd3b3b6dafc48cbd5b0ca7546e65907d23cb2e140f7691ca87",
+    "r3_q.cert": "dafae1de72da96bc94400db2c53e403426593dff09b49680ff455b840270a019",
+    "r3_q_bad.cert": "f8946e90fc565370b84b7d45376f746995bd1e8113c5f42278daac6c937ac292",
+    "r4_real.cert": "9cfe20bda6494d59c2809914b3bfa42fb396172223eb11f91b5b913d9d965ebb",
+    "r4_real_bad.cert": "b21a86be73c5ff6a89844b30cdec418983b102d52c5b82d1abcf0d4222e75973",
+    "r5_inc_nat.cert": "f2a54e09bd9b65fd0ce21901e893f47c15c4b053d1e0f200d1f632e3eb80247f",
+    "r5_inc_nat_bad.cert": "8ceecf497b7f76a810fe0f7e5738718c4ba8226905b327bf9f694698ec8cad50",
+    "r5_inc_real.cert": "c4a2e2633eea952c08792b7a5902b67972288d0121cac5ffce3d4f4de3368226",
+    "r5_inc_real_bad.cert": "18dfca61baa456084b0a9bf7171aa20e8a7c38d5d9cbebf378c29e57359c631e",
+    "r6_inc_nat.cert": "20afe00c309b4250c5a6480a168e7213ac31bf0488ff6b6109c182e061e9cced",
+    "r6_inc_nat_bad.cert": "eab935d438a300f06e53ac913debc1bb9f33f14591742b50b7b2ae246f7017fc",
+    "r1.trs": "ad06d49eaa82b765606941e968ecc926afc8c3faf9a21b959c28ae3d08fdb903",
+    "r2.trs": "c69e5dea391fda1300df92861e2814b45b7660d5268223388cec54a0863237bf",
+    "r3.trs": "a8d4edfcd3e565f95312aa61f48aadbd23d0d50c460d2bf3090dfd3e0639534d",
+    "r4.trs": "032a32e428d7e3bec06d2cf5cd39a8f76780b40f03c86fe8a6ab595ca19da2c6",
+    "r5.trs": "92af451a1a14fdaa06fb2ec1c7cc3b9cae2d07722c758e5bb99065103537a4b0",
+    "r6.trs": "75b6602b908715f9a09481d7e6da25d84abdfc18e83b49b8c0df56f82729dca3",
+    "s.trs": "2509d44be14c820040caf29386c055774a3c4f9f905de6556a87e3b554c6dda3",
+    "corpus verify": "605ccf18bc3905f7ef512c9e18eda64ba19a770f4e08aa2754f3de6dfc26204f",
+}
+
+
+def _golden_argv(name):
+    if name == "corpus verify":
+        return ["corpus", "verify"]
+    if name.endswith(".trs"):
+        return ["parse", str(DATA / name)]
+    return ["check", "--trs", str(DATA / (name.split("_")[0] + ".trs")), "--cert", str(DATA / name)]
+
+
+def test_golden_cover_every_shipped_file():
+    shipped = {p.name for p in DATA.iterdir() if p.suffix in (".trs", ".cert")}
+    assert shipped | {"corpus verify"} == set(_GOLDEN)
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN))
+def test_golden_outputs(name):
+    report = run_cli(_golden_argv(name))
+    text = report.text.replace(str(DATA), "<data>")
+    digest = hashlib.sha256(f"{report.exit_code}\n{text}".encode()).hexdigest()
+    assert digest == _GOLDEN[name], f"output of {name} changed"

@@ -577,3 +577,52 @@ def test_plan_order_falls_back_past_14_symbols():
     assert keys == sorted(keys)
     rep = exhaustion_report(chain, domain_n(), cfg)
     assert rep.complete and rep.line() == "EXHAUSTED degree<=1 coeff<=1 CERTS 0"
+
+
+# -- search paths the tests above do not reach ------------------------------------
+
+
+def test_degree_shape_prune_cuts_prefixes():
+    # every degree shape has deg f >= deg g * deg h; the per-prefix check
+    # skips the prefixes no shape extends (1,037 nodes without it)
+    trs = parse_trs("(VAR x) (RULES f(x) -> g(h(x)))", name="fgh")
+    rep = exhaustion_report(trs, domain_n(), SearchConfig(max_degree=2, max_coeff=2))
+    assert rep.line() == "EXHAUSTED degree<=2 coeff<=2 CERTS 281"
+    assert rep.nodes == 596
+
+
+def test_point_value_gives_up_at_the_bit_cap():
+    # f^13(x) -> x with f = x1^2 + 1: the lhs doubles its bits per f, so its
+    # point value passes MAX_COEFF_BITS at x = 16, and its composition has
+    # degree 2^13, past MAX_DEGREE; the decision is then False, not an error
+    trs = parse_trs("(VAR x) (RULES " + "f(" * 13 + "x" + ")" * 13 + " -> x)", name="f13")
+    table = _candidate_table(trs, domain_n(), SearchConfig(max_coeff=1), False, _Budget(None))
+    (rec,) = table.rules
+    i = table.polys["f"].index(parse_poly("x1^2 + 1"))
+    lhs = trs.rules[0].lhs
+    values = [_point_value(lhs, v, lambda s: table.forms["f"][i], table.scale) for v in (0, 1, 16)]
+    assert [n.bit_length() for n, _ in values[:2]] == [2408, 4815] and values[2] is None
+    start = time.monotonic()
+    assert not table.holds(rec, "strict", (i,))
+    assert time.monotonic() - start < 1.0
+
+
+def test_exhaustion_of_the_empty_system():
+    empty = Trs((), ())
+    table = _candidate_table(empty, domain_n(), SearchConfig(), False, _Budget(None))
+    assert _plan_order(empty, table, "strict") == []
+    rep = exhaustion_report(empty, domain_n(), SearchConfig())
+    assert rep.line() == "EXHAUSTED degree<=2 coeff<=2 CERTS 1"
+
+
+def test_space_without_candidates():
+    # over Q with denominator 2 only and coefficients up to 1, the grid is
+    # {-1/2, 0, 1/2}, and no linear template is strictly monotone with delta 1
+    trs = parse_trs("(VAR x) (RULES f(x) -> g(x))", name="f_g")
+    cfg = SearchConfig(max_degree=1, max_coeff=1, denominators=(2,))
+    table = _candidate_table(trs, domain_q(Fraction(1)), cfg, False, _Budget(None))
+    assert table.polys == {"f": [], "g": []}
+    rep = exhaustion_report(trs, "Q", cfg)
+    assert (rep.line(), rep.nodes) == ("EXHAUSTED degree<=1 coeff<=1 dens=2 deltas=1 CERTS 0", 0)
+    assert search_direct(trs, "Q", cfg).status == "exhausted"
+    assert search_incremental(trs, "Q", cfg).status == "no-progress"
