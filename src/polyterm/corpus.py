@@ -17,7 +17,7 @@ read off a proof sketch; both still clear delta = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from importlib import resources
+from pathlib import Path
 
 from .interp import Certificate, check_certificate, lift_q_to_r, parse_certificate
 from .trs import Trs, parse_trs
@@ -35,7 +35,7 @@ __all__ = [
 
 
 def _data_text(name: str) -> str:
-    return (resources.files(__package__) / "data" / name).read_text()
+    return (Path(__file__).parent / "data" / name).read_text(encoding="utf-8")
 
 
 def load_trs(name: str) -> Trs:

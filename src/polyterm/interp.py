@@ -47,9 +47,10 @@ Parentheses nest at most ``trs.MAX_NESTING`` levels deep.
 from __future__ import annotations
 
 import re
+from collections import Counter
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 from .numeric import (
     DomainTag,
@@ -626,8 +627,11 @@ def _read_sexprs(text: str) -> list:
     return stack[0]
 
 
-def _integer(form) -> int:
-    if not isinstance(form, str):
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _integer(form) -> int:  # ASCII digits only, unlike int()
+    if not isinstance(form, str) or not _INTEGER.fullmatch(form):
         raise ValueError(f"expected an integer, got {_render(form)!r}")
     return int(form)
 
@@ -685,6 +689,9 @@ def _parse_interp(domain_form, interp_form) -> Interp:
         sym = FunSym(name, len(params))
         if sym in assignment:
             raise ValueError(f"duplicate interpretation for {name!r}")
+        repeated = [p for p, n in Counter(params).items() if n > 1]
+        if repeated:
+            raise ValueError(f"repeated parameter {repeated[0]!r} for {name!r}")
         poly = parse_poly(_render_tail(entry[2:]), variables=params)
         renaming = {p: arg_var(i + 1) for i, p in enumerate(params)}
         assignment[sym] = poly.rename(renaming)

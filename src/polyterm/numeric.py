@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 __all__ = [
     "Scalar",
@@ -27,6 +26,7 @@ __all__ = [
     "quadext",
     "is_square_free",
     "scalar_sign",
+    "quadratic_sign",
     "as_scalar",
     "is_integer",
     "format_scalar",
@@ -188,7 +188,7 @@ class QuadExt:
         return format_scalar(self)
 
 
-Scalar = Union[Fraction, QuadExt]
+Scalar = Fraction | QuadExt
 
 
 def quadext(a, b, d: int) -> Scalar:
@@ -211,16 +211,19 @@ def is_integer(x: Scalar) -> bool:
 
 
 def scalar_sign(x: Scalar) -> int:
-    """Exact sign in {-1, 0, +1}, decided without floating point.
-
-    For a + b*sqrt(d) with a, b of opposite signs the comparison
-    a ? -b*sqrt(d) is squared: both sides are nonnegative there, so the
-    order of a^2 and b^2*d decides.
-    """
+    """Exact sign in {-1, 0, +1}, decided without floating point."""
     if not isinstance(x, QuadExt):
         n = x.numerator if isinstance(x, Fraction) else x
         return (n > 0) - (n < 0)
-    a, b, d = x.a, x.b, x.d
+    return quadratic_sign(x.a, x.b, x.d)
+
+
+def quadratic_sign(a, b, d: int) -> int:
+    """The exact sign of a + b*sqrt(d) for rational (int or Fraction) a, b.
+
+    With a, b of opposite signs the comparison a ? -b*sqrt(d) is squared:
+    both sides are nonnegative there, so the order of a^2 and b^2*d decides.
+    """
     sa = (a > 0) - (a < 0)
     sb = (b > 0) - (b < 0)
     if sb == 0:

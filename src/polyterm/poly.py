@@ -22,8 +22,8 @@ printed by ``numeric.format_scalar``.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 from .numeric import QuadExt, Scalar, as_scalar, format_scalar, quadext
 

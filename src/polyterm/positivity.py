@@ -26,10 +26,10 @@ carrier; Disproved always carries a witness point that evaluates negative.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Mapping
 
 from .numeric import Scalar, as_scalar, format_scalar, scalar_sign
 from .poly import Poly

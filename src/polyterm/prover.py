@@ -21,11 +21,15 @@ acceptable candidate:
   failed compatibility check discards the whole subtree;
 * point refutation: before composing a rule, its excess lhs - rhs - margin
   is evaluated at the all-equal points x = 0, 1, 16 of the carrier, exactly:
-  with every coefficient scaled to an integer by the lcm L of the grid's
-  denominators, a term's value is n / L^k for Python ints n, k, so a
-  negative value is a true counterexample and disproves the rule.  Only the
-  survivors are composed and decided by ``nonneg_on``.  Grids with
-  sqrt(d) coefficients skip this step.
+  with every coefficient scaled by the lcm L of the grid's denominators, a
+  term's value is n / L^k for Python ints n, k, or (a + b*sqrt(d)) / L^k
+  over Q(sqrt d), whose sign the signs of a, b and the order of a^2 and
+  d*b^2 decide.  So a negative value is a true counterexample and disproves
+  the rule.  Only the survivors are composed and decided by ``nonneg_on``.
+
+A ground rule (no variables) needs no composition: its excess is a
+constant, so its exact value at x = 0 decides it as composing would; where
+that value passes the bit cap, the rule is composed like any other.
 
 Candidates are enumerated canonically: symbols in signature order; per
 symbol constants, then linear, then quadratic templates; coefficient tuples
@@ -65,10 +69,10 @@ import math
 import random
 import time
 from collections import defaultdict
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import partial
 from fractions import Fraction
-from typing import Mapping
 
 from .interp import (
     Certificate,
@@ -80,10 +84,12 @@ from .interp import (
     eval_term_with,
 )
 from .interp import check_incremental  # noqa: F401  bench/tracer.py wraps it here
-from .numeric import DomainTag, QuadExt, Scalar, as_scalar, format_scalar, quadext, scalar_sign
+from .numeric import (
+    DomainTag, QuadExt, Scalar, as_scalar, format_scalar, quadext, quadratic_sign, scalar_sign,
+)
 from .poly import MAX_COEFF_BITS, Poly, monomial
 from .positivity import excess_at_least
-from .trs import FunSym, Rule, Term, Trs, Var, term_symbols
+from .trs import FunSym, Rule, Term, Trs, Var, term_symbols, term_vars
 
 __all__ = [
     "SearchConfig",
@@ -305,25 +311,27 @@ class _RuleRecord:
     syms: tuple[FunSym, ...]
     pos: dict[FunSym, int]  # sym -> its position in syms
     sides: tuple[tuple[Term, tuple[int, ...]], tuple[Term, tuple[int, ...]]]
+    ground: bool  # no variable in the lhs, and so none in the rhs
 
 
 def _rule_record(index: int, rule: Rule) -> _RuleRecord:
     syms = tuple(dict.fromkeys(s for t in (rule.lhs, rule.rhs) for s in term_symbols(t)))
     pos = {s: i for i, s in enumerate(syms)}
     sides = tuple((t, tuple(pos[s] for s in term_symbols(t))) for t in (rule.lhs, rule.rhs))
-    return _RuleRecord(index, syms, pos, sides)
+    return _RuleRecord(index, syms, pos, sides, not term_vars(rule.lhs))
 
 
 @dataclass(frozen=True)
 class _CandidateTable:
     """The candidates of one search space and its one compatibility decider.
 
-    ``scale`` is the lcm L of the candidates' denominators, None when a
-    coefficient or the margin is in Q(sqrt d).  ``holds`` memoises every
-    decision for the table's life, so plan samples and every searcher over
-    the table share them.  It memoises each side's point values and
-    composition too; the plan drops those after sampling, since the scan
-    reuses few of the random samples' sides.
+    ``scale`` is the lcm L of the candidates' denominators (of both parts of
+    a + b*sqrt(d)), and ``root`` is d, or 0 when every coefficient and the
+    margin are rational.  ``holds`` memoises every decision for the table's
+    life, so plan samples and every searcher over the table share them.  It
+    memoises each side's point values and composition too; the plan drops
+    those after sampling, since the scan reuses few of the random samples'
+    sides.
     """
 
     domain: DomainTag
@@ -331,8 +339,10 @@ class _CandidateTable:
     shapes: list[dict[str, int]]
     polys: dict[str, list[Poly]]  # per symbol name, in canonical order
     degrees: dict[str, list[int]]  # the template degree of each candidate
-    scale: int | None
-    forms: dict[str, list[tuple]]  # _int_form of each poly; empty if scale is None
+    scale: int
+    root: int
+    margins: dict[str, tuple[int, int, int]]  # _int_margin per mode
+    forms: dict[str, list[tuple]]  # _int_form of each poly
     rules: tuple[_RuleRecord, ...]
     budget: _Budget
     # memos, empty also in a dataclasses.replace copy:
@@ -345,26 +355,21 @@ class _CandidateTable:
     def holds(self, rec: _RuleRecord, mode: str, pick: tuple[int, ...]) -> bool:
         """Whether ``rec`` is compatible in ``mode`` under ``pick``, memoised.
 
-        ``pick[i]`` is the candidate index of ``rec.syms[i]``.  A rule refuted
-        at a point is decided without composing; the rest are composed.
+        ``pick[i]`` is the candidate index of ``rec.syms[i]``.  Only a rule
+        the points neither refute nor decide (as ground) is composed.
         """
         memo = self._decided[rec.index, mode]
         ok = memo.get(pick)
         if ok is None:
             self.budget.check()
             (lhs, lhs_pos), (rhs, rhs_pos) = rec.sides
-            margin = _margin(mode, self.domain)
-            ok = not _refuted_at_points(
-                partial(self._point_side, rec, pick, lhs, lhs_pos),
-                partial(self._point_side, rec, pick, rhs, rhs_pos),
-                margin,
-                self.scale,
-            ) and _excess_proved(
-                lambda: (self._composed_side(rec, pick, lhs, lhs_pos),
-                         self._composed_side(rec, pick, rhs, rhs_pos)),
-                margin,
-                self.domain,
-            )
+            ok = _decided_at_points(partial(self._point_side, rec, pick, lhs, lhs_pos),
+                                    partial(self._point_side, rec, pick, rhs, rhs_pos),
+                                    self.margins[mode], self.scale, self.root, rec.ground)
+            if ok is None:
+                ok = _excess_proved(lambda: (self._composed_side(rec, pick, lhs, lhs_pos),
+                                             self._composed_side(rec, pick, rhs, rhs_pos)),
+                                    _margin(mode, self.domain), self.domain)
             memo[pick] = ok
         return ok
 
@@ -378,7 +383,8 @@ class _CandidateTable:
         key = tuple(map(pick.__getitem__, positions))
         if key not in memo:
             form_of = lambda s: self.forms[s.name][pick[rec.pos[s]]]  # noqa: E731
-            memo[key] = _point_value(term, v, form_of, self.scale)
+            memo[key] = (_root_point_value(term, v, form_of, self.scale, self.root) if self.root
+                         else _point_value(term, v, form_of, self.scale))
         return memo[key]
 
     def _composed_side(self, rec, pick, term, positions) -> Poly:
@@ -391,10 +397,30 @@ class _CandidateTable:
         return poly
 
 
-def _int_form(poly: Poly, scale: int) -> tuple:
-    """poly * scale as ((integer coefficient, ((argument index, exponent), ...)), ...)."""
+def _parts(c: Scalar) -> tuple:
+    """(a, b) of c = a + b*sqrt(d), rationals."""
+    return (c.a, c.b) if isinstance(c, QuadExt) else (c, 0)
+
+
+def _int_margin(margin: Scalar) -> tuple[int, int, int]:
+    """(a, b, M) with margin = (a + b*sqrt(d)) / M."""
+    a, b = _parts(margin)
+    den = math.lcm(a.denominator, b.denominator)
+    return int(a * den), int(b * den), den
+
+
+def _int_form(poly: Poly, scale: int, root: int) -> tuple:
+    """poly * scale as ((coefficient, ((argument index, exponent), ...)), ...).
+
+    A coefficient is an int, or with a ``root`` d the int pair (a, b) of
+    a + b*sqrt(d).
+    """
+    def scaled(c):
+        a, b = _parts(c)
+        return (int(a * scale), int(b * scale)) if root else int(c * scale)
+
     return tuple(
-        (int(c * scale), tuple((int(var[1:]) - 1, e) for var, e in m))  # var is x<i>
+        (scaled(c), tuple((int(var[1:]) - 1, e) for var, e in m))  # var is x<i>
         for m, c in poly.terms.items()
     )
 
@@ -426,17 +452,26 @@ def _candidate_table(
             polys[sym.name].extend(groups[key])
             degrees[sym.name].extend([d] * len(groups[key]))
     coeffs = [c for group in groups.values() for p in group for c in p.coeffs()]
-    scale, forms = None, {}
-    if not any(isinstance(c, QuadExt) for c in coeffs + [domain.strict_margin]):
-        scale = math.lcm(*(c.denominator for c in coeffs))
-        forms = {name: [_int_form(p, scale) for p in ps] for name, ps in polys.items()}
+    roots = list(dict.fromkeys(c.d for c in coeffs + [domain.strict_margin]
+                               if isinstance(c, QuadExt)))
+    if len(roots) > 1:
+        raise ValueError("mixed radicands " + " and ".join(f"sqrt({d})" for d in roots))
+    root = roots[0] if roots else 0
+    scale = math.lcm(*(x.denominator for c in coeffs for x in _parts(c)))
+    margins = {mode: _int_margin(_margin(mode, domain)) for mode in ("strict", "weak")}
+    forms = {name: [_int_form(p, scale, root) for p in ps] for name, ps in polys.items()}
     rules = tuple(_rule_record(i, rule) for i, rule in enumerate(trs.rules, start=1))
     return _CandidateTable(
-        domain, require_weak, shapes, polys, degrees, scale, forms, rules, budget
+        domain, require_weak, shapes, polys, degrees, scale, root, margins, forms, rules, budget
     )
 
 
 # -- point refutation ----------------------------------------------------------
+
+
+def _denominator_past_cap(scale: int, k: int) -> bool:
+    """Whether scale**k may pass MAX_COEFF_BITS (it has at most k * bits(scale))."""
+    return scale > 1 and k * scale.bit_length() > MAX_COEFF_BITS
 
 
 def _point_value(term: Term, v: int, form_of, scale: int) -> "tuple[int, int] | None":
@@ -444,6 +479,8 @@ def _point_value(term: Term, v: int, form_of, scale: int) -> "tuple[int, int] | 
 
     ``form_of(sym)`` is the ``_int_form`` of sym's candidate.  None past
     ``MAX_COEFF_BITS``: the caller then composes, where that limit applies.
+    Within it, composing the term passes no limit either, since a reduced
+    numerator is at most |n| and the denominator divides scale**k.
     """
     if isinstance(term, Var):
         return v, 0
@@ -463,28 +500,63 @@ def _point_value(term: Term, v: int, form_of, scale: int) -> "tuple[int, int] | 
         parts.append((c, s))
     k = 1 + max((s for _, s in parts), default=0)
     n = sum(c * scale ** (k - 1 - s) for c, s in parts)
-    if n.bit_length() > MAX_COEFF_BITS or k * (scale.bit_length() - 1) > MAX_COEFF_BITS:
+    if n.bit_length() > MAX_COEFF_BITS or _denominator_past_cap(scale, k):
         return None
     return n, k
 
 
-def _refuted_at_points(lhs_at, rhs_at, margin: Scalar, scale: int | None) -> bool:
-    """lhs - rhs - margin < 0 at some point of ``_REFUTE_POINTS``: a disproof.
+def _root_point_value(term: Term, v: int, form_of, scale: int, root: int):
+    """``_point_value`` over Q(sqrt root): ((a, b), k) for (a + b*sqrt(root)) / scale**k.
 
-    ``lhs_at(v)`` and ``rhs_at(v)`` are the sides' ``_point_value`` at v.
+    None past ``MAX_COEFF_BITS`` in a or b.
     """
-    if scale is None:
-        return False
-    for v in _REFUTE_POINTS:
+    if isinstance(term, Var):
+        return (v, 0), 0
+    args = []
+    for a in term.args:
+        value = _root_point_value(a, v, form_of, scale, root)
+        if value is None:
+            return None
+        args.append(value)
+    parts = []  # per monomial: (a, b) * prod (a_i, b_i)^e_i, and sum e_i * k_i
+    for (ca, cb), m in form_of(term.sym):
+        s = 0
+        for i, e in m:
+            (na, nb), k_i = args[i]
+            for _ in range(e):
+                ca, cb = ca * na + root * cb * nb, ca * nb + cb * na
+            s += e * k_i
+        parts.append((ca, cb, s))
+    k = 1 + max((s for _, _, s in parts), default=0)
+    a = sum(ca * scale ** (k - 1 - s) for ca, _, s in parts)
+    b = sum(cb * scale ** (k - 1 - s) for _, cb, s in parts)
+    if max(a.bit_length(), b.bit_length()) > MAX_COEFF_BITS or _denominator_past_cap(scale, k):
+        return None
+    return (a, b), k
+
+
+def _decided_at_points(lhs_at, rhs_at, margin, scale: int, root: int, ground: bool):
+    """lhs - rhs >= margin decided at points: False, True, or None to compose.
+
+    ``lhs_at(v)`` and ``rhs_at(v)`` are the sides' point values at v, and
+    ``margin`` is an ``_int_margin``.  A point of ``_REFUTE_POINTS`` where the
+    excess falls short is a disproof; a ``ground`` rule is decided at x = 0.
+    """
+    ma, mb, den = margin
+    for v in (0,) if ground else _REFUTE_POINTS:
         left, right = lhs_at(v), rhs_at(v)
         if left is None or right is None:
-            return False
-        (n1, k1), (n2, k2) = left, right
+            return None
+        (x1, k1), (x2, k2) = left, right
         k = max(k1, k2)
-        excess = (n1 * scale ** (k - k1) - n2 * scale ** (k - k2)) * margin.denominator
-        if excess < margin.numerator * scale ** k:
-            return True
-    return False
+        s1, s2, sk = scale ** (k - k1), scale ** (k - k2), scale**k
+        if not root:
+            if (x1 * s1 - x2 * s2) * den < ma * sk:
+                return False
+        elif quadratic_sign((x1[0] * s1 - x2[0] * s2) * den - ma * sk,
+                            (x1[1] * s1 - x2[1] * s2) * den - mb * sk, root) < 0:
+            return False
+    return True if ground else None
 
 
 def _excess_proved(sides, margin: Scalar, domain: DomainTag) -> bool:
@@ -710,8 +782,6 @@ def _plan_order(trs: Trs, table: _CandidateTable, mode: str) -> list[FunSym]:
     symbols = list(trs.signature)
     candidates = table.polys
     n = len(symbols)
-    if n == 0:
-        return []
     if n > 14:
         return sorted(symbols, key=lambda s: (len(candidates[s.name]), symbols.index(s)))
     rng = random.Random(0)

@@ -268,6 +268,8 @@ def test_conflicting_prove_flags_are_usage_errors(tmp_path):
         assert sqrt.exit_code == 3
         assert sqrt.text == "ERROR usage: --sqrt needs --domain R"
     assert run_cli(prove + ["--domain", "R", "--sqrt", "2"]).exit_code == 0
+    mixed = run_cli(prove + ["--domain", "R", "--sqrt", "3", "--delta", "sqrt(2)"])
+    assert (mixed.text, mixed.exit_code) == ("ERROR mixed radicands sqrt(3) and sqrt(2)", 3)
 
 
 # sha256 of "<exit code>\n<stdout>" per shipped file: `check` of each

@@ -1,5 +1,13 @@
 """The embedded systems, their certificates, and the one-call verifier."""
 
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import polyterm
+from polyterm.cli import run_cli
 from polyterm.corpus import load_certificate, load_corpus, verify_all
 from polyterm.interp import check_certificate, check_incremental, lift_q_to_r
 
@@ -65,3 +73,25 @@ def test_verify_all_summary():
     text = report.format()
     assert text.endswith("VERDICT accepted")
     assert "r4_real" in text
+
+
+def test_copied_package_reads_its_data_and_imports_little(tmp_path):
+    # a copy of the package stands in for an installed one: it finds its
+    # data beside its own files, from any working directory, and importing
+    # it loads neither typing nor importlib.resources
+    site = tmp_path / "site"
+    shutil.copytree(Path(polyterm.__file__).parent, site / "polyterm",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(site))
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-S", "-s", *args], cwd=elsewhere, env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    verify = run("-m", "polyterm.cli", "corpus", "verify")
+    assert (verify.returncode, verify.stdout) == (0, run_cli(["corpus", "verify"]).text + "\n")
+    probe = run("-c", "import sys, polyterm; print(polyterm.__file__); "
+                      "print(sorted({'typing', 'importlib.resources'} & set(sys.modules)))")
+    assert probe.stdout.splitlines() == [str(site / "polyterm" / "__init__.py"), "[]"]

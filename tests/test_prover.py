@@ -29,7 +29,7 @@ from polyterm.interp import (
     eval_term_with,
     step_conditions,
 )
-from polyterm.numeric import DomainTag, domain_n, domain_q, domain_r
+from polyterm.numeric import DomainTag, domain_n, domain_q, domain_r, quadext, scalar_sign
 from polyterm.poly import Poly, monomial, parse_poly
 from polyterm.positivity import excess_at_least
 from polyterm.prover import (
@@ -37,10 +37,13 @@ from polyterm.prover import (
     _Budget,
     _candidate_permissible,
     _candidate_table,
+    _decided_at_points,
     _int_form,
+    _int_margin,
+    _parts,
     _plan_order,
     _point_value,
-    _refuted_at_points,
+    _root_point_value,
     _symbol_candidates,
     _template_positions,
     coefficient_grid,
@@ -48,7 +51,7 @@ from polyterm.prover import (
     search_direct,
     search_incremental,
 )
-from polyterm.trs import App, FunSym, Trs, Var, parse_trs
+from polyterm.trs import App, FunSym, Trs, Var, parse_trs, term_vars
 
 SINGLE = parse_trs("(VAR x) (RULES f(x) -> x)", name="single_f")
 
@@ -433,8 +436,10 @@ def _brute_incremental(trs, domain, cfg):
         (TWO_STEP, _HALF, SearchConfig(max_degree=1, max_coeff=2)),
         # quadratic templates scaled by L = 4 against the margin 1/2
         (NEST, _HALF, SearchConfig(max_degree=2, max_coeff=1, denominators=(1, 2, 4))),
+        # points over Q(sqrt 2) against the margin sqrt(2), and the ground rule f(0) -> 0
+        (NEST, domain_r(quadext(0, 1, 2), 2), SearchConfig(max_degree=1, max_coeff=1, sqrt_d=2)),
     ],
-    ids=["single-N", "single-Q", "r3-N", "shift-N", "two_step-Q", "nest-Q"],
+    ids=["single-N", "single-Q", "r3-N", "shift-N", "two_step-Q", "nest-Q", "nest-R"],
 )
 def test_search_matches_unpruned_enumeration(trs, domain, cfg):
     # the kernel decides every assignment; no shape or rule pruning
@@ -449,10 +454,10 @@ def test_point_refutation_scale():
     nest_q = SearchConfig(max_degree=2, max_coeff=1, denominators=(1, 2, 4))
     assert _candidate_table(NEST, _HALF, nest_q, False, _Budget(None)).scale == 4
     assert _candidate_table(NEST, domain_n(), nest_q, False, _Budget(None)).scale == 1
-    # a sqrt(2) grid switches point refutation off
+    # a sqrt(2) grid evaluates its points over Q(sqrt 2)
     r_grid = SearchConfig(max_degree=1, max_coeff=1, sqrt_d=2)
     r_table = _candidate_table(SINGLE, domain_r(Fraction(1), 2), r_grid, False, _Budget(None))
-    assert r_table.scale is None
+    assert (r_table.scale, r_table.root) == (1, 2)
 
 
 @pytest.mark.parametrize(
@@ -471,6 +476,29 @@ def test_point_refutation_reaches_past_zero(monkeypatch, f, g):
     pick = tuple(table.polys[s.name].index(chosen[s.name]) for s in rec.syms)
     assert not table.holds(rec, "strict", pick)
     assert composed == []
+
+
+def test_points_decide_before_composing(monkeypatch):
+    # over Q(sqrt 2) the points decide all but 78 of the 820 decisions of the
+    # r4 direct search, and a ground rule's decision never composes, over N
+    # or Q(sqrt 2)
+    real = prover._excess_proved
+    composed = []
+
+    def spy(sides, margin, domain):
+        lhs, rhs = sides()
+        composed.append(lhs.is_constant() and rhs.is_constant())
+        return real(lambda: (lhs, rhs), margin, domain)
+
+    monkeypatch.setattr(prover, "_excess_proved", spy)
+    r4_grid = SearchConfig(max_degree=2, max_coeff=1, sqrt_d=2)
+    res = search_direct(load_trs("r4.trs"), "R", r4_grid)
+    assert (res.status, res.nodes, len(composed)) == ("found", 98, 78)
+    for domain, cfg in [(domain_n(), SearchConfig(max_degree=2, max_coeff=2)),
+                        (domain_r(Fraction(1), 2), r4_grid)]:
+        composed.clear()
+        assert exhaustion_report(NEST, domain, cfg).cert_count > 0
+        assert composed and not any(composed)
 
 
 # -- point refutation against the kernel's composition ---------------------------
@@ -501,23 +529,43 @@ def _template(sym, grid):
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_point_refutation_is_exact(data):
-    base, dens = data.draw(st.sampled_from([("N", (1,)), ("Q0", (1, 2, 3))]))
-    grid = [Fraction(p, q) for p in range(-2, 3) for q in dens]
+    base, dens, root = data.draw(st.sampled_from([("N", (1,), 0), ("Q0", (1, 2, 3), 0),
+                                                  ("R0", (1, 2), 2)]))
+    grid = [quadext(Fraction(p, q), Fraction(r, q), 2)
+            for p in range(-2, 3) for r in ((-1, 0, 1) if root else (0,)) for q in dens]
     table = {sym: data.draw(_template(sym, grid)) for sym in (_A, _F, _G)}
     lhs, rhs = data.draw(_terms(3)), data.draw(_terms(3))
-    margin = data.draw(st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)]))
-    scale = math.lcm(*(c.denominator for p in table.values() for c in p.coeffs()))
-    forms = {sym: _int_form(p, scale) for sym, p in table.items()}
+    margins = [Fraction(0), Fraction(1, 2), Fraction(1)]
+    if root:
+        margins += [quadext(0, 1, 2), quadext(1, Fraction(-1, 2), 2)]
+    margin = data.draw(st.sampled_from(margins))
+    scale = math.lcm(*(x.denominator for p in table.values() for c in p.coeffs()
+                       for x in _parts(c)))
+    forms = {sym: _int_form(p, scale, root) for sym, p in table.items()}
     polys = {t: eval_term_with(table, t) for t in (lhs, rhs)}
     values = {}
     for t in (lhs, rhs):
         for v in (0, 1, 16):
-            n, k = values[t, v] = _point_value(t, v, forms.__getitem__, scale)
-            assert Fraction(n, scale**k) == polys[t].eval({"x": v, "y": v})
-    if _refuted_at_points(
-        lambda v: values[lhs, v], lambda v: values[rhs, v], margin, scale
-    ):
-        assert not excess_at_least(polys[lhs], polys[rhs], margin, base).is_proved
+            if root:
+                (a, b), k = values[t, v] = _root_point_value(t, v, forms.__getitem__, scale, root)
+                value = quadext(Fraction(a, scale**k), Fraction(b, scale**k), root)
+            else:
+                n, k = values[t, v] = _point_value(t, v, forms.__getitem__, scale)
+                value = Fraction(n, scale**k)
+            assert value == polys[t].eval({"x": v, "y": v})
+
+    def short(v):  # the excess falls short of the margin at the all-equal point v
+        at = {"x": v, "y": v}
+        return scalar_sign(polys[lhs].eval(at) - polys[rhs].eval(at) - margin) < 0
+
+    # a pair of constant sides is decided as a ground rule; any pair may be refuted
+    for ground in {False, not (term_vars(lhs) or term_vars(rhs))}:
+        decided = _decided_at_points(lambda v: values[lhs, v], lambda v: values[rhs, v],
+                                     _int_margin(margin), scale, root, ground)
+        refuted = any(map(short, (0,) if ground else (0, 1, 16)))
+        assert decided is (False if refuted else True if ground else None)
+        if decided is not None:
+            assert decided == excess_at_least(polys[lhs], polys[rhs], margin, base).is_proved
 
 
 # -- the one compatibility decider against the kernel ---------------------------
@@ -549,7 +597,7 @@ def _question(table):
 def test_holds_matches_kernel_whoever_asks_first(data):
     trs, base = _decider_space(data.draw(st.sampled_from(["r3-N", "nest-Q", "r4-R"])))
     questions = data.draw(st.lists(_question(base), min_size=1, max_size=8))
-    assert (base.scale is None) == (base.domain.kind == "R")  # sqrt(2): no point filter
+    assert base.root == (2 if base.domain.kind == "R" else 0)  # sqrt(2): points over Q(sqrt 2)
     forward, backward = dataclasses.replace(base), dataclasses.replace(base)
     asked = [forward.holds(*q) for q in questions]
     assert [backward.holds(*q) for q in reversed(questions)] == asked[::-1]
@@ -605,6 +653,20 @@ def test_point_value_gives_up_at_the_bit_cap():
     start = time.monotonic()
     assert not table.holds(rec, "strict", (i,))
     assert time.monotonic() - start < 1.0
+
+
+@pytest.mark.parametrize("depth, holds", [(14, True), (15, False)])
+def test_ground_rule_at_the_bit_cap(depth, holds):
+    # f^depth(a) -> a with f = x1^2 + 1 and a = 1: the lhs has about 9,600
+    # bits at depth 14, decided at x = 0, and passes MAX_COEFF_BITS at 15,
+    # where composing fails too, so the rule is not proved, as in the kernel
+    trs = parse_trs("(VAR x) (RULES " + "f(" * depth + "a" + ")" * depth + " -> a)", name="fa")
+    table = _candidate_table(trs, domain_n(), SearchConfig(max_coeff=1), False, _Budget(None))
+    (rec,) = table.rules
+    pick = tuple(table.polys[s.name].index(parse_poly({"f": "x1^2 + 1", "a": "1"}[s.name]))
+                 for s in rec.syms)
+    assert rec.ground and table.holds(rec, "strict", pick) is holds
+    assert bool(table._composed) is not holds
 
 
 def test_exhaustion_of_the_empty_system():

@@ -79,6 +79,32 @@ _CERT_ERRORS = {
         "ERROR expected an integer, got '( 2 )'",
         3,
     ),
+    "repeated-parameter": (
+        "(DOMAIN N) (INTERP (f (x1 x1) x1))",
+        "ERROR repeated parameter 'x1' for 'f'",
+        3,
+    ),
+    # integer atoms are ASCII digits with an optional sign, unlike int()
+    "underscore-index": (
+        "(STEPS (STEP (DOMAIN N) (INTERP (f (x1) x1 + 1)) (REMOVE 1_0 \u0663)))",
+        "ERROR expected an integer, got '1_0'",
+        3,
+    ),
+    "arabic-index": (
+        "(STEPS (STEP (DOMAIN N) (INTERP (f (x1) x1 + 1)) (REMOVE \u0663)))",
+        "ERROR expected an integer, got '\u0663'",
+        3,
+    ),
+    "arabic-radicand": (
+        "(DOMAIN R (DELTA 1) (SQRT \u0663)) (INTERP (f (x1) x1 + 1))",
+        "ERROR expected an integer, got '\u0663'",
+        3,
+    ),
+    "signed-index": (
+        "(STEPS (STEP (DOMAIN N) (INTERP (f (x1) x1 + 1)) (REMOVE -1)))",
+        "ERROR step 1: removal index -1 out of range",
+        3,
+    ),
     # a form feed is not a blank, so "x1\f+" is one atom; the polynomial
     # reader then takes it as x1 +
     "form-feed-in-poly": ("(DOMAIN N) (INTERP (f (x1) x1\f+ 1))", "VERDICT accepted", 0),
