@@ -7,9 +7,8 @@ radicand).  Checking a certificate reduces to non-negativity queries:
 * well-definedness of f:  f >= 0 on the carrier (plus integer coefficients
   over N, a structural condition);
 * strict monotonicity in argument i:  f(.., xi + margin + h, ..) - f - margin
-  >= 0, where margin is delta (1 over N); closed-form criteria are used for
-  linear polynomials and univariate quadratics, the shifted difference
-  otherwise;
+  >= 0, where margin is delta (1 over N); one closed-form lemma decides every
+  polynomial of total degree <= 2, the shifted difference higher degrees;
 * weak monotonicity: the same with shift h and margin 0;
 * compatibility of a rule l -> r:  P_l - P_r - margin >= 0 with margin
   delta/1 (strict) or 0 (weak).
@@ -121,9 +120,9 @@ class Interp:
                             f"sqrt({c.d}) coefficient not allowed over {domain.kind}"
                         )
                     if domain.d != c.d:
+                        declared = "no SQRT" if domain.d is None else f"sqrt({domain.d})"
                         raise ValueError(
-                            f"coefficient uses sqrt({c.d}) but domain declares "
-                            f"sqrt({domain.d})"
+                            f"coefficient uses sqrt({c.d}) but domain declares {declared}"
                         )
             table[sym] = poly
         object.__setattr__(self, "domain", domain)
@@ -230,32 +229,31 @@ def _mono_shift_diff(poly: Poly, var: str, kind: str, domain: DomainTag) -> Poly
     return shifted - poly - Poly.const(margin)
 
 
-def _mono_argument(poly: Poly, arity: int, i: int, kind: str, domain: DomainTag) -> Verdict:
-    """Monotonicity of one argument; closed form when the shape matches.
+def _mono_argument(poly: Poly, i: int, kind: str, domain: DomainTag) -> Verdict:
+    """Monotonicity of argument i, in closed form up to total degree 2.
 
-    A closed-form rejection carries a reason but no witness point: only the
-    checker needs one, and it asks _mono_witness for it.
+    With a, b_j, c the coefficients of var^2, var*x_j, var, the difference
+    for a step s is s*(2a*var + sum b_j*x_j + c) + a*s^2, where s = 1 over N,
+    else margin + h for every h >= 0.  So var is monotone iff a >= 0, every
+    b_j >= 0 and a*step + c >= bound (1 strict, 0 weak), where step is 1 over
+    N, else the margin.  A closed-form rejection carries a reason but no
+    witness point: only the checker needs one, and asks _mono_witness for it.
     """
     var = arg_var(i)
     deg = poly.degree()
+    if deg > 2:
+        return nonneg_on(_mono_shift_diff(poly, var, kind, domain), domain.base)
+    a, c = poly.coeff(((var, 2),)), poly.coeff(((var, 1),))
+    quadratic = (b for m, b in poly.terms.items() if (var, 2) in m or len(m) == 2 and (var, 1) in m)
     bound = 1 if kind == "strict" else 0
+    step = 1 if domain.kind == "N" else _margin(kind, domain)
+    if all(scalar_sign(b) >= 0 for b in quadratic):
+        slack = c - bound + a * step if a else c - bound  # a = 0: a linear argument
+        if scalar_sign(slack) >= 0:
+            return Verdict.proved(f"criterion-{kind}")
     if deg <= 1:
-        slope = poly.coeff({var: 1})
-        if scalar_sign(slope - bound) >= 0:
-            return Verdict.proved(f"criterion-linear-{kind}")
-        return Verdict.disproved(
-            None, None, f"slope {format_scalar(slope)} of {var} is below {bound}"
-        )
-    if arity == 1 and deg == 2:
-        # for a >= 0 the shifted difference of a*x^2 + b*x + c is least at
-        # x = 0 and the least step s: 1 over N, else the margin (0 if weak)
-        a = poly.coeff({var: 2})
-        b = poly.coeff({var: 1})
-        step = 1 if domain.kind == "N" else _margin(kind, domain)
-        if scalar_sign(a) >= 0 and scalar_sign(a * step + b - bound) >= 0:
-            return Verdict.proved(f"criterion-quadratic-{kind}")
-        return Verdict.disproved(None, None, "quadratic slope condition violated")
-    return nonneg_on(_mono_shift_diff(poly, var, kind, domain), domain.base)
+        return Verdict.disproved(None, None, f"slope {format_scalar(c)} of {var} is below {bound}")
+    return Verdict.disproved(None, None, "quadratic slope condition violated")
 
 
 def _mono_witness(
@@ -277,7 +275,7 @@ def _candidate_permissible(
     the search filters its templates through this.
     """
     return all(
-        _mono_argument(poly, arity, i, kind, domain).is_proved
+        _mono_argument(poly, i, kind, domain).is_proved
         for i in range(1, arity + 1)
         for kind in kinds
     ) and _well_defined(poly, domain).is_proved
@@ -298,7 +296,7 @@ def nat_quad_permissible(a, b, c) -> bool:
 def linear_permissible(a0, slopes: Iterable) -> bool:
     """a0 + a1*x1 + .. + an*xn is well-defined and strictly monotone over R0.
 
-    The answer is the same for every delta and over Q0.
+    The answer is the same for every delta and over Q0 (see _mono_argument).
     """
     slopes = list(slopes)
     poly = Poly({(): a0} | {
@@ -335,7 +333,7 @@ def check_monotone(interp: Interp, kind: str) -> dict[FunSym, tuple[Verdict, ...
     for sym, poly in interp.assignment.items():
         verdicts = []
         for i in range(1, sym.arity + 1):
-            v = _mono_argument(poly, sym.arity, i, kind, interp.domain)
+            v = _mono_argument(poly, i, kind, interp.domain)
             if v.is_disproved and v.witness is None:
                 v = _mono_witness(poly, i, kind, interp.domain, v)
             verdicts.append(v)

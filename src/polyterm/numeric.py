@@ -292,6 +292,8 @@ class DomainTag:
                     raise ValueError("domain Q needs a rational delta")
             if self.d is not None:
                 _check_radicand(self.d)
+                if isinstance(self.delta, QuadExt) and self.delta.d != self.d:
+                    raise ValueError(f"mixed radicands sqrt({self.d}) and sqrt({self.delta.d})")
 
     @property
     def base(self) -> str:

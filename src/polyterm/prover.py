@@ -5,7 +5,7 @@ total degree at most ``max_degree`` (2 at most) whose coefficients range over
 
 * integers |c| <= max_coeff                          over N,
 * p/q with |p| <= max_coeff, q in denominators       over Q,
-* a + b*sqrt(d) with a, b from the Q grid            over R (when sqrt_d set),
+* a + b*sqrt(d) with a, b from the Q grid            over R with radicand d,
 
 and delta ranges over the configured candidates.  Only candidates that are
 well-defined and strictly monotone (plus weakly monotone for incremental
@@ -70,7 +70,7 @@ import random
 import time
 from collections import defaultdict
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from fractions import Fraction
 
@@ -437,7 +437,7 @@ def _candidate_table(
     The candidates depend on a symbol's arity only, so each (arity, degree)
     group is filtered once and shared by every symbol of that arity.
     """
-    values = coefficient_grid(domain.kind, cfg)
+    values = coefficient_grid(domain.kind, replace(cfg, sqrt_d=domain.d))
     shapes = _feasible_shapes(trs, cfg, budget)
     groups: dict[tuple[int, int], list[Poly]] = {}
     polys: dict[str, list[Poly]] = {}
@@ -452,11 +452,8 @@ def _candidate_table(
             polys[sym.name].extend(groups[key])
             degrees[sym.name].extend([d] * len(groups[key]))
     coeffs = [c for group in groups.values() for p in group for c in p.coeffs()]
-    roots = list(dict.fromkeys(c.d for c in coeffs + [domain.strict_margin]
-                               if isinstance(c, QuadExt)))
-    if len(roots) > 1:
-        raise ValueError("mixed radicands " + " and ".join(f"sqrt({d})" for d in roots))
-    root = roots[0] if roots else 0
+    # one radicand at most: the grid's is the tag's, and DomainTag matches its delta's to it
+    root = next((c.d for c in coeffs + [domain.strict_margin] if isinstance(c, QuadExt)), 0)
     scale = math.lcm(*(x.denominator for c in coeffs for x in _parts(c)))
     margins = {mode: _int_margin(_margin(mode, domain)) for mode in ("strict", "weak")}
     forms = {name: [_int_form(p, scale, root) for p in ps] for name, ps in polys.items()}
@@ -833,7 +830,7 @@ def _plan_order(trs: Trs, table: _CandidateTable, mode: str) -> list[FunSym]:
 
 
 def _domains_to_try(domain, cfg: SearchConfig) -> list[DomainTag]:
-    """A DomainTag fixes delta; a kind string tries every configured delta."""
+    """A DomainTag fixes delta and d; a kind string tries each delta, with d = sqrt_d."""
     if isinstance(domain, DomainTag):
         return [domain]
     if domain == "N":
@@ -963,6 +960,8 @@ def exhaustion_report(trs: Trs, domain, cfg: SearchConfig) -> ExhaustionReport:
     start = time.monotonic()
     budget = _Budget(cfg.budget_seconds)
     kind = domain.kind if isinstance(domain, DomainTag) else str(domain)
+    if isinstance(domain, DomainTag) and kind != "N":  # report the one space searched
+        cfg = replace(cfg, deltas=(domain.delta,), sqrt_d=domain.d)
     count = 0
     examples: list[str] = []
 

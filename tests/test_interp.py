@@ -1,6 +1,7 @@
 """Interpretation checking: term evaluation, the three conditions, lifts,
 certificate files."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,6 +11,8 @@ from polyterm.corpus import load_certificate, load_trs
 from polyterm.interp import (
     Certificate,
     Interp,
+    _mono_argument,
+    _mono_shift_diff,
     arg_var,
     check_certificate,
     check_monotone,
@@ -22,7 +25,8 @@ from polyterm.interp import (
     parse_certificate,
 )
 from polyterm.numeric import DomainTag, domain_n, domain_q, domain_r, quadext
-from polyterm.poly import Poly, parse_poly
+from polyterm.poly import Poly, format_poly, monomial, parse_poly
+from polyterm.positivity import nonneg_on
 from polyterm.trs import FunSym, parse_term_text, parse_trs
 
 
@@ -127,11 +131,20 @@ def test_monotone_failures_name_argument():
 
 
 def test_monotone_fresh_variable_reduction():
-    # degree-2 binary polynomial: no closed form, shifted difference decides
+    # degree 2 in two arguments: the closed-form lemma decides
     h = FunSym("h", 2)
     interp = Interp(domain_q(1), {h: parse_poly("x1*x2 + x1 + x2")})
     m = check_monotone(interp, "strict")
-    assert all(v.is_proved for v in m[h])
+    assert [v.method for v in m[h]] == ["criterion-strict"] * 2
+    # degree 3: the shifted difference in the fresh x0 goes to the ladder;
+    # in x1 it is (2*x1*s + s^2)*x2 + s - 1 with s = 1 + x0 >= 1
+    interp = Interp(domain_q(1), {h: parse_poly("x1^2*x2 + x1 + x2")})
+    m = check_monotone(interp, "strict")
+    assert [v.method for v in m[h]] == ["absolute-positiveness"] * 2
+    # x^3 - x: 3*x^2*s + 3*x*s^2 + s^3 - s - 1 is -1 at x = 0, s = 1
+    f = FunSym("f", 1)
+    m = check_monotone(Interp(domain_q(1), {f: parse_poly("x1^3 - x1")}), "strict")
+    assert m[f][0].point() == {"x0": 0, "x1": 0} and m[f][0].value == -1
 
 
 def test_check_rule_strict_and_weak():
@@ -293,16 +306,69 @@ def test_certificate_parse_errors():
 
 
 def test_criteria_agree_with_general_reduction_spot():
-    rng = random.Random(31337)
-    f = FunSym("f", 1)
-    for _ in range(100):
-        a = Fraction(rng.randint(1, 4), rng.randint(1, 2))
-        b = Fraction(rng.randint(-4, 4), rng.randint(1, 2))
-        c = Fraction(rng.randint(0, 4), rng.randint(1, 2))
-        poly = (
-            Poly.var(arg_var(1)) ** 2
-        ).scale(a) + Poly.var(arg_var(1)).scale(b) + Poly.const(c)
-        for delta in (Fraction(1, 2), Fraction(1), Fraction(2)):
-            interp = Interp(domain_q(delta), {f: poly})
-            closed = check_monotone(interp, "strict")[f][0]
-            assert closed.status in ("proved", "disproved")
+    # the closed-form lemma against the shifted difference on the ladder,
+    # wherever the ladder decides, for every unary template of degree <= 2
+    # and every binary linear one of small grids (the constant cancels in
+    # both, so it stays 0); the step sqrt(2) keeps the ladder's grid rung
+    # cheap, where sqrt(2) coefficients would not be
+    halves = [Fraction(n, 2) for n in range(-2, 3)]
+    grids = [
+        (domain_n(), [Fraction(n) for n in range(-2, 3)]),
+        (domain_q(Fraction(1, 2)), halves),
+        (domain_q(1), halves),
+        (domain_r(quadext(0, 1, 2), 2), halves),
+    ]
+    x1, x2 = Poly.var("x1"), Poly.var("x2")
+    decided = 0
+    for domain, values in grids:
+        for a, b in itertools.product(values, repeat=2):
+            unary, linear = (x1 * x1).scale(a) + x1.scale(b), x1.scale(a) + x2.scale(b)
+            for poly, arity in (unary, 1), (linear, 2):
+                for i, kind in itertools.product(range(1, arity + 1), ("strict", "weak")):
+                    closed = _mono_argument(poly, i, kind, domain)
+                    shifted = _mono_shift_diff(poly, arg_var(i), kind, domain)
+                    ladder = nonneg_on(shifted, domain.base)
+                    if not ladder.is_unknown:
+                        decided += 1
+                        assert closed.status == ladder.status, (format_poly(poly), i, kind, domain)
+    assert decided > 500
+
+
+def _refuted(poly, var, kind, domain):
+    """A sampled point and step where f(.., var + s, ..) - f - margin < 0, exactly.
+
+    The step s is 1 over N and margin + h otherwise, for h in {0, 1/8, 64}.
+    """
+    margin = domain.strict_margin if kind == "strict" else Fraction(0)
+    steps = [1] if domain.kind == "N" else [margin + h for h in (0, Fraction(1, 8), 64)]
+    for point in itertools.product((0, Fraction(1, 2), 64), repeat=2):
+        at = dict(zip(("x1", "x2"), map(Fraction, point)))
+        for s in steps:
+            if poly.eval(dict(at, **{var: at[var] + s})) - poly.eval(at) - margin < 0:
+                return True
+    return False
+
+
+def test_mono_lemma_against_sampled_differences():
+    # binary quadratics: the lemma decides, and exact sampling agrees with it;
+    # on these grids a failed condition shows at the origin (the bound) or at
+    # 64 in var, in x_j or in h (a < 0, b_j < 0)
+    rng = random.Random(2014)
+    halves = [Fraction(n, 2) for n in range(-2, 5)]
+    grids = [
+        (domain_n(), [Fraction(n) for n in (-1, 0, 1, 2)]),
+        (domain_q(Fraction(1, 2)), halves),
+        (domain_q(1), halves),
+        (domain_r(quadext(0, 1, 2), 2), [quadext(a, b, 2) for a in (-1, 0, 1) for b in (-1, 0, 1)]),
+    ]
+    shapes = [{"x1": 2}, {"x1": 1, "x2": 1}, {"x2": 2}, {"x1": 1}, {"x2": 1}]
+    outcomes = set()
+    for domain, values in grids:
+        for _ in range(40):
+            poly = Poly({monomial(m): rng.choice(values) for m in shapes})
+            for var, kind in itertools.product(("x1", "x2"), ("strict", "weak")):
+                closed = _mono_argument(poly, int(var[1:]), kind, domain)
+                assert closed.is_proved != _refuted(poly, var, kind, domain), (
+                    format_poly(poly), var, kind, domain)
+                outcomes.add(closed.status)
+    assert outcomes == {"proved", "disproved"}

@@ -204,3 +204,6 @@ def test_domain_tags():
         DomainTag("N", Fraction(1))
     with pytest.raises(ValueError):
         domain_r(1, 4)
+    with pytest.raises(ValueError, match=r"^mixed radicands sqrt\(2\) and sqrt\(3\)$"):
+        domain_r(quadext(0, 1, 3), 2)
+    assert domain_r(quadext(0, 1, 3)).strict_margin == quadext(0, 1, 3)

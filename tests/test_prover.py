@@ -255,6 +255,21 @@ def test_exhaustion_zero_line():
     assert rep.line() == "EXHAUSTED degree<=2 coeff<=2 CERTS 0"
 
 
+def test_exhaustion_searches_and_reports_the_given_tag():
+    # a DomainTag fixes the delta and the radicand of the space: the grid
+    # takes its radicand from the tag, not from sqrt_d, and the report prints
+    # the bounds of the space searched, as the kind string naming it does
+    cfg = SearchConfig(max_degree=1, max_coeff=1, sqrt_d=2)
+    for tag, deltas, d, line in [
+        (domain_r(1, 3), (Fraction(1),), 3, "deltas=1 sqrt=3 CERTS 9"),
+        (domain_r(quadext(0, 1, 2), 2), (quadext(0, 1, 2),), 2, "deltas=sqrt(2) sqrt=2 CERTS 6"),
+    ]:
+        rep = exhaustion_report(SINGLE, tag, cfg)
+        assert rep.line() == "EXHAUSTED degree<=1 coeff<=1 dens=1 " + line
+        named = dataclasses.replace(cfg, deltas=deltas, sqrt_d=d)
+        assert exhaustion_report(SINGLE, "R", named).line() == rep.line()
+
+
 def test_exhaustion_budget_inconclusive():
     r1 = load_trs("r1.trs")
     cfg = SearchConfig(

@@ -100,6 +100,17 @@ _CERT_ERRORS = {
         "ERROR expected an integer, got '\u0663'",
         3,
     ),
+    # one domain: a delta and every coefficient use the declared radicand
+    "delta-radicand": (
+        "(DOMAIN R (DELTA sqrt(3)) (SQRT 2)) (INTERP (f (x1) sqrt(2)*x1 + 2))",
+        "ERROR mixed radicands sqrt(2) and sqrt(3)",
+        3,
+    ),
+    "coefficient-without-sqrt": (
+        "(DOMAIN R (DELTA 1)) (INTERP (f (x1) sqrt(2)*x1 + 2))",
+        "ERROR coefficient uses sqrt(2) but domain declares no SQRT",
+        3,
+    ),
     "signed-index": (
         "(STEPS (STEP (DOMAIN N) (INTERP (f (x1) x1 + 1)) (REMOVE -1)))",
         "ERROR step 1: removal index -1 out of range",
