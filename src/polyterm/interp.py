@@ -259,8 +259,27 @@ def _mono_argument(poly: Poly, i: int, kind: str, domain: DomainTag) -> Verdict:
 def _mono_witness(
     poly: Poly, i: int, kind: str, domain: DomainTag, rejected: Verdict
 ) -> Verdict:
-    """A closed-form rejection, with a witness point where the ladder finds one."""
-    refuted = nonneg_on(_mono_shift_diff(poly, arg_var(i), kind, domain), domain.base)
+    """A closed-form rejection, with a witness point.
+
+    The failed condition names a line from the origin (h = 0): x_j for some
+    b_j < 0, else var (a < 0).  The difference is linear along it, so a point
+    past its root is a witness, if it is negative (not for a weak step, 0 at
+    h = 0); else the ladder looks for one.
+    """
+    var = arg_var(i)
+    diff = _mono_shift_diff(poly, var, kind, domain)
+    point = dict.fromkeys(diff.variables(), Fraction(0))
+    value = diff.eval(point)
+    line = next((w for m, b in poly.terms.items() if len(m) == 2 and (var, 1) in m
+                 and scalar_sign(b) < 0 for w, _ in m if w != var), var)
+    slope = diff.eval(dict(point, **{line: 1})) - value
+    if scalar_sign(value) >= 0 > scalar_sign(slope):
+        root = value / -slope  # of the difference along the line
+        point[line] = root + 1 if isinstance(root, QuadExt) else Fraction(root // 1 + 1)
+        value = diff.eval(point)
+    if scalar_sign(value) < 0:
+        return Verdict.disproved(point, value, rejected.reason)
+    refuted = nonneg_on(diff, domain.base)
     if refuted.is_disproved:
         return Verdict.disproved(refuted.point(), refuted.value, rejected.reason)
     return rejected
@@ -325,7 +344,7 @@ def qr_quad_weak_permissible(a, b, c) -> bool:
 def check_monotone(interp: Interp, kind: str) -> dict[FunSym, tuple[Verdict, ...]]:
     """Per-symbol, per-argument monotonicity verdicts ("strict" or "weak").
 
-    A closed-form rejection gets a witness point where the ladder finds one.
+    A closed-form rejection gets a witness point where ``_mono_witness`` finds one.
     """
     if kind not in ("strict", "weak"):
         raise ValueError(f"unknown monotonicity kind {kind!r}")

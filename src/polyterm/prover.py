@@ -25,11 +25,14 @@ acceptable candidate:
   term's value is n / L^k for Python ints n, k, or (a + b*sqrt(d)) / L^k
   over Q(sqrt d), whose sign the signs of a, b and the order of a^2 and
   d*b^2 decide.  So a negative value is a true counterexample and disproves
-  the rule.  Only the survivors are composed and decided by ``nonneg_on``.
+  the rule.  The survivors are interpolated over Q0/R0, and composed and
+  decided by ``nonneg_on`` over N or past degree 2.
 
-A ground rule (no variables) needs no composition: its excess is a
-constant, so its exact value at x = 0 decides it as composing would; where
-that value passes the bit cap, the rule is composed like any other.
+Over Q0 and R0, a rule in one variable whose sides have degree <= 2 has a
+quadratic excess, fixed by its values at x = 0, 1 and 16; the ladder decides
+it exactly by the half-line test, which the search applies to the
+interpolated coefficients.  A ground rule's excess is its value at x = 0,
+over N too.  Where a point value passes the bit cap, the rule is composed.
 
 Candidates are enumerated canonically: symbols in signature order; per
 symbol constants, then linear, then quadratic templates; coefficient tuples
@@ -69,7 +72,6 @@ import math
 import random
 import time
 from collections import defaultdict
-from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import partial
 from fractions import Fraction
@@ -88,7 +90,7 @@ from .numeric import (
     DomainTag, QuadExt, Scalar, as_scalar, format_scalar, quadext, quadratic_sign, scalar_sign,
 )
 from .poly import MAX_COEFF_BITS, Poly, monomial
-from .positivity import excess_at_least
+from .positivity import excess_at_least, quad_nonneg_halfline
 from .trs import FunSym, Rule, Term, Trs, Var, term_symbols, term_vars
 
 __all__ = [
@@ -103,6 +105,7 @@ __all__ = [
 
 _SELECTIVITY_SAMPLES = 160  # random candidate tuples per rule in _plan_order
 _REFUTE_POINTS = (0, 1, 16)  # all-equal carrier points tried before composing
+_POINT_BITS = MAX_COEFF_BITS - 2  # point values stop short of the cap: see _point_value
 _KEPT_EXAMPLES = 3  # certificates an exhaustion report prints
 _GROUP_GRACE = 0.5  # seconds past the deadline before a template group is cut
 
@@ -213,22 +216,23 @@ def coefficient_grid(domain_kind: str, cfg: SearchConfig) -> list[Scalar]:
 # -- degree shapes -----------------------------------------------------------
 
 
-def _shape_ub(t: Term, shape: Mapping[str, int]) -> int:
+def _shape_ub(t: Term, degree_of) -> int:
+    """A bound on the degree of t's polynomial, given each symbol's ``degree_of(sym)``."""
     if isinstance(t, Var):
         return 1
-    d = shape[t.sym.name]
+    d = degree_of(t.sym)
     if d == 0 or not t.args:
         return 0
-    return d * max(_shape_ub(a, shape) for a in t.args)
+    return d * max(_shape_ub(a, degree_of) for a in t.args)
 
 
-def _shape_lb(t: Term, shape: Mapping[str, int]) -> int:
+def _shape_lb(t: Term, degree_of) -> int:
     if isinstance(t, Var):
         return 1
-    d = shape[t.sym.name]
+    d = degree_of(t.sym)
     if d == 0 or not t.args:
         return 0
-    lbs = [_shape_lb(a, shape) for a in t.args]
+    lbs = [_shape_lb(a, degree_of) for a in t.args]
     return max(max(lbs), d * min(lbs))
 
 
@@ -244,9 +248,8 @@ def _feasible_shapes(trs: Trs, cfg: SearchConfig, budget: _Budget) -> list[dict[
     for combo in itertools.product(*choices):
         budget.check()
         shape = {sym.name: d for sym, d in zip(trs.signature, combo)}
-        if all(
-            _shape_ub(r.lhs, shape) >= _shape_lb(r.rhs, shape) for r in trs.rules
-        ):
+        degree_of = lambda s: shape[s.name]  # noqa: E731
+        if all(_shape_ub(r.lhs, degree_of) >= _shape_lb(r.rhs, degree_of) for r in trs.rules):
             shapes.append(shape)
     return shapes
 
@@ -312,13 +315,15 @@ class _RuleRecord:
     pos: dict[FunSym, int]  # sym -> its position in syms
     sides: tuple[tuple[Term, tuple[int, ...]], tuple[Term, tuple[int, ...]]]
     ground: bool  # no variable in the lhs, and so none in the rhs
+    univariate: bool  # at most one variable
 
 
 def _rule_record(index: int, rule: Rule) -> _RuleRecord:
     syms = tuple(dict.fromkeys(s for t in (rule.lhs, rule.rhs) for s in term_symbols(t)))
     pos = {s: i for i, s in enumerate(syms)}
     sides = tuple((t, tuple(pos[s] for s in term_symbols(t))) for t in (rule.lhs, rule.rhs))
-    return _RuleRecord(index, syms, pos, sides, not term_vars(rule.lhs))
+    variables = term_vars(rule.lhs)
+    return _RuleRecord(index, syms, pos, sides, not variables, len(variables) <= 1)
 
 
 @dataclass(frozen=True)
@@ -329,9 +334,10 @@ class _CandidateTable:
     a + b*sqrt(d)), and ``root`` is d, or 0 when every coefficient and the
     margin are rational.  ``holds`` memoises every decision for the table's
     life, so plan samples and every searcher over the table share them.  It
-    memoises each side's point values and composition too; the plan drops
-    those after sampling, since the scan reuses few of the random samples'
-    sides.
+    memoises each side's point values too; the plan drops those after
+    sampling, since the scan reuses few of the random samples' sides.  The
+    points decide nearly every check; the few left (over N, with two
+    variables or past degree 2) are composed and not memoised.
     """
 
     domain: DomainTag
@@ -346,17 +352,16 @@ class _CandidateTable:
     rules: tuple[_RuleRecord, ...]
     budget: _Budget
     # memos, empty also in a dataclasses.replace copy:
-    # (rule index, mode) -> pick -> bool, id(term) -> sub-pick -> Poly and
-    # (id(term), v) -> sub-pick -> _point_value
+    # (rule index, mode) -> pick -> bool and (id(term), v) -> sub-pick -> _point_value
     _decided: dict = field(init=False, default_factory=partial(defaultdict, dict))
-    _composed: dict = field(init=False, default_factory=partial(defaultdict, dict))
     _points: dict = field(init=False, default_factory=partial(defaultdict, dict))
 
     def holds(self, rec: _RuleRecord, mode: str, pick: tuple[int, ...]) -> bool:
         """Whether ``rec`` is compatible in ``mode`` under ``pick``, memoised.
 
         ``pick[i]`` is the candidate index of ``rec.syms[i]``.  Only a rule
-        the points neither refute nor decide (as ground) is composed.
+        the points neither refute nor decide (as ground or by interpolation)
+        is composed.
         """
         memo = self._decided[rec.index, mode]
         ok = memo.get(pick)
@@ -365,18 +370,19 @@ class _CandidateTable:
             (lhs, lhs_pos), (rhs, rhs_pos) = rec.sides
             ok = _decided_at_points(partial(self._point_side, rec, pick, lhs, lhs_pos),
                                     partial(self._point_side, rec, pick, rhs, rhs_pos),
-                                    self.margins[mode], self.scale, self.root, rec.ground)
+                                    self.margins[mode], self.scale, self.root, rec.ground,
+                                    partial(self._quadratic, rec, pick))
             if ok is None:
-                ok = _excess_proved(lambda: (self._composed_side(rec, pick, lhs, lhs_pos),
-                                             self._composed_side(rec, pick, rhs, rhs_pos)),
+                assignment = {s: self.polys[s.name][i] for s, i in zip(rec.syms, pick)}
+                ok = _excess_proved(lambda: (eval_term_with(assignment, lhs),
+                                             eval_term_with(assignment, rhs)),
                                     _margin(mode, self.domain), self.domain)
             memo[pick] = ok
         return ok
 
     def drop_side_memos(self) -> None:
-        """Forget the sides' point values and compositions; decisions stay."""
+        """Forget the sides' point values; decisions stay."""
         self._points.clear()
-        self._composed.clear()
 
     def _point_side(self, rec, pick, term, positions, v):
         memo = self._points[id(term), v]
@@ -387,14 +393,11 @@ class _CandidateTable:
                          else _point_value(term, v, form_of, self.scale))
         return memo[key]
 
-    def _composed_side(self, rec, pick, term, positions) -> Poly:
-        memo = self._composed[id(term)]
-        key = tuple(map(pick.__getitem__, positions))
-        poly = memo.get(key)
-        if poly is None:
-            assignment = {s: self.polys[s.name][i] for s, i in zip(rec.syms, pick)}
-            poly = memo[key] = eval_term_with(assignment, term)
-        return poly
+    def _quadratic(self, rec, pick) -> bool:
+        """Whether the excess is a quadratic in one variable, over Q0 or R0 (not N's ladder)."""
+        degree_of = lambda s: self.degrees[s.name][pick[rec.pos[s]]]  # noqa: E731
+        return (rec.univariate and self.domain.kind != "N"
+                and all(_shape_ub(t, degree_of) <= 2 for t, _ in rec.sides))
 
 
 def _parts(c: Scalar) -> tuple:
@@ -474,10 +477,16 @@ def _denominator_past_cap(scale: int, k: int) -> bool:
 def _point_value(term: Term, v: int, form_of, scale: int) -> "tuple[int, int] | None":
     """The exact value n / scale**k of a term with every variable at v, as (n, k).
 
-    ``form_of(sym)`` is the ``_int_form`` of sym's candidate.  None past
-    ``MAX_COEFF_BITS``: the caller then composes, where that limit applies.
-    Within it, composing the term passes no limit either, since a reduced
-    numerator is at most |n| and the denominator divides scale**k.
+    ``form_of(sym)`` is the ``_int_form`` of sym's candidate; k does not
+    depend on v.  None where the n of the term or a subterm passes
+    ``_POINT_BITS``, or scale**k may pass ``MAX_COEFF_BITS``; the caller then
+    composes.  Otherwise composing a term the points decide passes no limit
+    either.  Its coefficients are m_j / scale**k for ints m_j.  A ground
+    term's m_0 is n; of degree <= 2 in x (so are its subterms, as a symbol
+    with arguments has degree >= 1), m_0 = n(0), m_2 = (n(16) - 16*n(1) +
+    15*n(0)) / 240 and m_1 = n(1) - n(0) - m_2, so |m_j| < 2.2 * max |n(v)|;
+    it forms 9 products per monomial at most, within ``MAX_TERMS`` up to
+    arity 45; past it a template group has 3^47 templates at least.
     """
     if isinstance(term, Var):
         return v, 0
@@ -497,7 +506,7 @@ def _point_value(term: Term, v: int, form_of, scale: int) -> "tuple[int, int] | 
         parts.append((c, s))
     k = 1 + max((s for _, s in parts), default=0)
     n = sum(c * scale ** (k - 1 - s) for c, s in parts)
-    if n.bit_length() > MAX_COEFF_BITS or _denominator_past_cap(scale, k):
+    if n.bit_length() > _POINT_BITS or _denominator_past_cap(scale, k):
         return None
     return n, k
 
@@ -505,7 +514,7 @@ def _point_value(term: Term, v: int, form_of, scale: int) -> "tuple[int, int] | 
 def _root_point_value(term: Term, v: int, form_of, scale: int, root: int):
     """``_point_value`` over Q(sqrt root): ((a, b), k) for (a + b*sqrt(root)) / scale**k.
 
-    None past ``MAX_COEFF_BITS`` in a or b.
+    None past ``_POINT_BITS`` in a or b; each part interpolates as n does.
     """
     if isinstance(term, Var):
         return (v, 0), 0
@@ -527,19 +536,22 @@ def _root_point_value(term: Term, v: int, form_of, scale: int, root: int):
     k = 1 + max((s for _, _, s in parts), default=0)
     a = sum(ca * scale ** (k - 1 - s) for ca, _, s in parts)
     b = sum(cb * scale ** (k - 1 - s) for _, cb, s in parts)
-    if max(a.bit_length(), b.bit_length()) > MAX_COEFF_BITS or _denominator_past_cap(scale, k):
+    if max(a.bit_length(), b.bit_length()) > _POINT_BITS or _denominator_past_cap(scale, k):
         return None
     return (a, b), k
 
 
-def _decided_at_points(lhs_at, rhs_at, margin, scale: int, root: int, ground: bool):
+def _decided_at_points(lhs_at, rhs_at, margin, scale: int, root: int, ground: bool, quadratic):
     """lhs - rhs >= margin decided at points: False, True, or None to compose.
 
     ``lhs_at(v)`` and ``rhs_at(v)`` are the sides' point values at v, and
     ``margin`` is an ``_int_margin``.  A point of ``_REFUTE_POINTS`` where the
-    excess falls short is a disproof; a ``ground`` rule is decided at x = 0.
+    excess falls short is a disproof.  A ``ground`` rule is decided at x = 0,
+    and one where ``quadratic()`` holds by its excess at the three points.
+    The excess at v is e_v / (den * scale**k), and k does not depend on v.
     """
     ma, mb, den = margin
+    excess = []
     for v in (0,) if ground else _REFUTE_POINTS:
         left, right = lhs_at(v), rhs_at(v)
         if left is None or right is None:
@@ -547,13 +559,29 @@ def _decided_at_points(lhs_at, rhs_at, margin, scale: int, root: int, ground: bo
         (x1, k1), (x2, k2) = left, right
         k = max(k1, k2)
         s1, s2, sk = scale ** (k - k1), scale ** (k - k2), scale**k
-        if not root:
-            if (x1 * s1 - x2 * s2) * den < ma * sk:
-                return False
-        elif quadratic_sign((x1[0] * s1 - x2[0] * s2) * den - ma * sk,
-                            (x1[1] * s1 - x2[1] * s2) * den - mb * sk, root) < 0:
+        if root:
+            e = ((x1[0] * s1 - x2[0] * s2) * den - ma * sk,
+                 (x1[1] * s1 - x2[1] * s2) * den - mb * sk)
+        else:
+            e = (x1 * s1 - x2 * s2) * den - ma * sk
+        if (quadratic_sign(*e, root) if root else e) < 0:
             return False
-    return True if ground else None
+        excess.append(e)
+    return True if ground else _interpolated_nonneg(*excess, root) if quadratic() else None
+
+
+def _interpolated_nonneg(e0, e1, e16, root: int) -> bool:
+    """The ladder's verdict on the quadratic excess with these scaled values.
+
+    c2, c1, c0 are 240 times its coefficients.  Over Q0 and R0 the ladder's
+    constant rung, absolute positiveness and ``quad_nonneg_halfline`` each
+    prove it exactly where the half-line test holds, as at any positive
+    scale.  With a ``root`` d the values are pairs (a, b) of a + b*sqrt(d).
+    """
+    if root:
+        e0, e1, e16 = (quadext(a, b, root) for a, b in (e0, e1, e16))
+    c2 = e16 - 16 * e1 + 15 * e0
+    return quad_nonneg_halfline(c2, 240 * (e1 - e0) - c2, 240 * e0)
 
 
 def _excess_proved(sides, margin: Scalar, domain: DomainTag) -> bool:
@@ -688,7 +716,10 @@ class _Searcher:
                     walk(level + 1, new_degrees, child)
             self.idx[level] = -1
 
-        walk(0, (), 0)
+        try:
+            walk(0, (), 0)
+        finally:  # walk refers to itself; unbound, it no longer keeps self (and the table) alive
+            del walk
 
     def iterate(self, on_leaf) -> None:
         """DFS over assignments, pruned by strict compatibility."""

@@ -130,6 +130,23 @@ def test_monotone_failures_name_argument():
     _assert_refutes_strict_mono(poly, "x1", Fraction(1, 4), m[f][0])
 
 
+@pytest.mark.parametrize("domain, text, arg, point, value", [
+    # b_2 = -1/64 < 0: the difference 1 - x2/64 is negative past x2 = 64
+    (domain_q(1), "2*x1 + 2*x2 - 1/64*x1*x2 + 2", 1, {"x0": 0, "x2": 65}, Fraction(-1, 64)),
+    (domain_q(1), "2*x1 + 2*x2 - 1/64*x1*x2 + 2", 2, {"x0": 0, "x1": 65}, Fraction(-1, 64)),
+    # a = -1 < 0 over N: the difference 1 - 2*x1 is negative past x1 = 1/2
+    (domain_n(), "-x1^2 + 3*x1 + 5", 1, {"x1": 1}, -1),
+    # the slack a*delta + c - 1 = -3/4 < 0: the origin, with h = 0
+    (domain_q(Fraction(1, 4)), "x1^2", 1, {"x0": 0, "x1": 0}, Fraction(-3, 16)),
+], ids=["cross-1", "cross-2", "square-N", "slack"])
+def test_mono_witness_from_the_failed_condition(domain, text, arg, point, value):
+    h = FunSym("h", 2 if "x2" in text else 1)
+    verdict = check_monotone(Interp(domain, {h: parse_poly(text)}), "strict")[h][arg - 1]
+    assert (verdict.point(), verdict.value) == (point, value)
+    if domain.kind == "Q":
+        _assert_refutes_strict_mono(parse_poly(text), f"x{arg}", domain.delta, verdict)
+
+
 def test_monotone_fresh_variable_reduction():
     # degree 2 in two arguments: the closed-form lemma decides
     h = FunSym("h", 2)

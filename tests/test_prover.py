@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -51,7 +52,7 @@ from polyterm.prover import (
     search_direct,
     search_incremental,
 )
-from polyterm.trs import App, FunSym, Trs, Var, parse_trs, term_vars
+from polyterm.trs import App, FunSym, Rule, Trs, Var, parse_trs, term_vars
 
 SINGLE = parse_trs("(VAR x) (RULES f(x) -> x)", name="single_f")
 
@@ -494,9 +495,10 @@ def test_point_refutation_reaches_past_zero(monkeypatch, f, g):
 
 
 def test_points_decide_before_composing(monkeypatch):
-    # over Q(sqrt 2) the points decide all but 78 of the 820 decisions of the
-    # r4 direct search, and a ground rule's decision never composes, over N
-    # or Q(sqrt 2)
+    # the points decide all 820 decisions of the r4 direct search over
+    # Q(sqrt 2) and every decision of the r6 exhaustion over Q with delta 1,
+    # by refuting or interpolating; a ground rule's decision never composes,
+    # over N or Q(sqrt 2), where f(f(x)) of degree 4 does
     real = prover._excess_proved
     composed = []
 
@@ -508,7 +510,11 @@ def test_points_decide_before_composing(monkeypatch):
     monkeypatch.setattr(prover, "_excess_proved", spy)
     r4_grid = SearchConfig(max_degree=2, max_coeff=1, sqrt_d=2)
     res = search_direct(load_trs("r4.trs"), "R", r4_grid)
-    assert (res.status, res.nodes, len(composed)) == ("found", 98, 78)
+    assert (res.status, res.nodes, len(composed)) == ("found", 98, 0)
+    r6_grid = SearchConfig(max_degree=2, max_coeff=2, denominators=(1, 2))
+    rep = exhaustion_report(load_trs("r6.trs"), domain_q(1), r6_grid)
+    assert (rep.line(), len(composed)) == (
+        "EXHAUSTED degree<=2 coeff<=2 dens=1,2 deltas=1 CERTS 0", 0)
     for domain, cfg in [(domain_n(), SearchConfig(max_degree=2, max_coeff=2)),
                         (domain_r(Fraction(1), 2), r4_grid)]:
         composed.clear()
@@ -521,24 +527,29 @@ def test_points_decide_before_composing(monkeypatch):
 _A, _F, _G = FunSym("a", 0), FunSym("f", 1), FunSym("g", 2)
 
 
-def _terms(depth):
-    """Terms over a/0, f/1, g/2 and the variables x, y, nested <= depth deep."""
-    leaves = st.sampled_from([Var("x"), Var("y"), App(_A, ())])
+def _terms(depth, leaves=(Var("x"), Var("y"), App(_A, ()))):
+    """Terms over a/0, f/1, g/2 and the leaves, nested <= depth deep."""
     if depth == 0:
-        return leaves
-    sub = _terms(depth - 1)
+        return st.sampled_from(leaves)
+    sub = _terms(depth - 1, leaves)
     return st.one_of(
-        leaves,
+        st.sampled_from(leaves),
         st.builds(lambda t: App(_F, (t,)), sub),
         st.builds(lambda s, t: App(_G, (s, t)), sub, sub),
     )
 
 
-def _template(sym, grid):
-    """Random coefficients on the monomials of a degree-2 template."""
-    positions = _template_positions(sym.arity, 2)
+def _template(sym, grid, degree=2):
+    """Random coefficients on the monomials of a template of the degree."""
+    positions = _template_positions(sym.arity, degree)
     coeffs = st.lists(st.sampled_from(grid), min_size=len(positions), max_size=len(positions))
     return coeffs.map(lambda cs: Poly(dict(zip(positions, cs))))
+
+
+def _grid(dens, root):
+    """p/q (+ r/q*sqrt(root)) for |p| <= 2, |r| <= 1 and q in dens."""
+    return [quadext(Fraction(p, q), Fraction(r, q), 2)
+            for p in range(-2, 3) for r in ((-1, 0, 1) if root else (0,)) for q in dens]
 
 
 @settings(max_examples=80, deadline=None)
@@ -546,8 +557,7 @@ def _template(sym, grid):
 def test_point_refutation_is_exact(data):
     base, dens, root = data.draw(st.sampled_from([("N", (1,), 0), ("Q0", (1, 2, 3), 0),
                                                   ("R0", (1, 2), 2)]))
-    grid = [quadext(Fraction(p, q), Fraction(r, q), 2)
-            for p in range(-2, 3) for r in ((-1, 0, 1) if root else (0,)) for q in dens]
+    grid = _grid(dens, root)
     table = {sym: data.draw(_template(sym, grid)) for sym in (_A, _F, _G)}
     lhs, rhs = data.draw(_terms(3)), data.draw(_terms(3))
     margins = [Fraction(0), Fraction(1, 2), Fraction(1)]
@@ -576,11 +586,77 @@ def test_point_refutation_is_exact(data):
     # a pair of constant sides is decided as a ground rule; any pair may be refuted
     for ground in {False, not (term_vars(lhs) or term_vars(rhs))}:
         decided = _decided_at_points(lambda v: values[lhs, v], lambda v: values[rhs, v],
-                                     _int_margin(margin), scale, root, ground)
+                                     _int_margin(margin), scale, root, ground, lambda: False)
         refuted = any(map(short, (0,) if ground else (0, 1, 16)))
         assert decided is (False if refuted else True if ground else None)
         if decided is not None:
             assert decided == excess_at_least(polys[lhs], polys[rhs], margin, base).is_proved
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_interpolated_decisions_equal_composing(data):
+    # rules in x alone over Q0 and Q(sqrt 2), with templates of degree 1 to 3:
+    # the decider interpolates the excess wherever no point refutes it and
+    # both sides have degree <= 2 by the template degrees, composes it
+    # otherwise, and decides as composing does
+    root, dens, deltas = data.draw(st.sampled_from([
+        (0, (1, 2, 3), [Fraction(1, 2), Fraction(1)]),
+        (2, (1, 2), [Fraction(1), quadext(0, 1, 2), quadext(1, Fraction(-1, 2), 2)])]))
+    delta, mode = data.draw(st.sampled_from(deltas)), data.draw(st.sampled_from(["strict", "weak"]))
+    domain = domain_r(delta, 2) if root else domain_q(delta)
+    degree = st.sampled_from([1, 1, 2, 3])
+    degrees = {_A: 0, _F: data.draw(degree), _G: data.draw(degree)}
+    grid = _grid(dens, root)
+    grid += [c for c in grid if scalar_sign(c) > 0]  # fewer excesses negative at a point
+    polys = {sym: data.draw(_template(sym, grid, d)) for sym, d in degrees.items()}
+    sub = _terms(2, (Var("x"), App(_A, ())))
+    top = data.draw(st.sampled_from([_F, _G]))
+    args = data.draw(st.tuples(*[sub] * top.arity))
+    lhs = App(top, args if any(map(term_vars, args)) else (Var("x"),) + args[1:])
+    rhs = data.draw(_terms(3, (Var("x"), App(_A, ()))))
+    rec = prover._rule_record(1, Rule(lhs, rhs))
+    scale = math.lcm(*(x.denominator for p in polys.values() for c in p.coeffs()
+                       for x in _parts(c)))
+    table = prover._CandidateTable(
+        domain, False, [], {s.name: [polys[s]] for s in rec.syms},
+        {s.name: [degrees[s]] for s in rec.syms}, scale, root,
+        {m: _int_margin(_margin(m, domain)) for m in ("strict", "weak")},
+        {s.name: [_int_form(polys[s], scale, root)] for s in rec.syms}, (rec,), _Budget(None))
+    sides = eval_term_with(polys, lhs), eval_term_with(polys, rhs)
+    expected = prover._excess_proved(lambda: sides, _margin(mode, domain), domain)
+    composed = []
+
+    def spy(*args):
+        composed.append(args)
+        return expected
+
+    with mock.patch.object(prover, "_excess_proved", spy):
+        assert table.holds(rec, mode, (0,) * len(rec.syms)) == expected
+    at = [sides[0].eval({"x": v}) - sides[1].eval({"x": v}) - _margin(mode, domain)
+          for v in (0, 1, 16)]
+    refuted = any(scalar_sign(e) < 0 for e in at)
+    quadratic = max(prover._shape_ub(t, degrees.__getitem__) for t in (lhs, rhs)) <= 2
+    assert len(composed) == (0 if refuted or quadratic else 1)
+
+
+@pytest.mark.parametrize("domain, holds, composed", [(domain_n(), True, 1),
+                                                     (domain_q(1), False, 0)], ids=["N", "Q"])
+def test_univariate_quadratic_between_the_points(monkeypatch, domain, holds, composed):
+    # f(x) -> g(x) weakly with f = x^2 + 2 and g = 3x: the excess x^2 - 3x + 2
+    # is 2, 0 and 210 at x = 0, 1 and 16, so no point refutes it; it holds on
+    # N (0 at 1 and 2), which the shifted rung proves after composing, and
+    # fails at 3/2 on the half-line, which interpolation decides
+    trs = parse_trs("(VAR x) (RULES f(x) -> g(x))", name="f_g")
+    table = _candidate_table(trs, domain, SearchConfig(max_degree=2, max_coeff=3), False,
+                             _Budget(None))
+    real, calls = prover._excess_proved, []
+    monkeypatch.setattr(prover, "_excess_proved",
+                        lambda *args: calls.append(args) or real(*args))
+    (rec,) = table.rules
+    chosen = {"f": parse_poly("x1^2 + 2"), "g": parse_poly("3*x1")}
+    pick = tuple(table.polys[s.name].index(chosen[s.name]) for s in rec.syms)
+    assert (table.holds(rec, "weak", pick), len(calls)) == (holds, composed)
 
 
 # -- the one compatibility decider against the kernel ---------------------------
@@ -671,7 +747,7 @@ def test_point_value_gives_up_at_the_bit_cap():
 
 
 @pytest.mark.parametrize("depth, holds", [(14, True), (15, False)])
-def test_ground_rule_at_the_bit_cap(depth, holds):
+def test_ground_rule_at_the_bit_cap(monkeypatch, depth, holds):
     # f^depth(a) -> a with f = x1^2 + 1 and a = 1: the lhs has about 9,600
     # bits at depth 14, decided at x = 0, and passes MAX_COEFF_BITS at 15,
     # where composing fails too, so the rule is not proved, as in the kernel
@@ -680,8 +756,39 @@ def test_ground_rule_at_the_bit_cap(depth, holds):
     (rec,) = table.rules
     pick = tuple(table.polys[s.name].index(parse_poly({"f": "x1^2 + 1", "a": "1"}[s.name]))
                  for s in rec.syms)
+    real, composed = prover._excess_proved, []
+    monkeypatch.setattr(prover, "_excess_proved",
+                        lambda *args: composed.append(args) or real(*args))
     assert rec.ground and table.holds(rec, "strict", pick) is holds
-    assert bool(table._composed) is not holds
+    assert bool(composed) is not holds
+
+
+@pytest.mark.parametrize("depth, interpolated", [(252, True), (253, False)])
+def test_interpolation_at_the_bit_cap(monkeypatch, depth, interpolated):
+    # f^depth(x) -> x with f = x1 + 1/L for L = 2^64 + 13 (65 bits), over Q
+    # with delta 1/L: the lhs's points have the denominator L^depth, which
+    # fits MAX_COEFF_BITS (16,384) for depth 252 (16,380 bits) and may not for
+    # 253, so that rule is composed; its composition x + 253/L fits, and both
+    # decisions are the kernel's
+    big = 2**64 + 13
+    terms = Var("x")
+    for _ in range(depth):
+        terms = App(_F, (terms,))
+    trs = Trs((_F,), (Rule(terms, Var("x")),))
+    cfg = SearchConfig(max_degree=1, max_coeff=1, denominators=(1, big))
+    domain = domain_q(Fraction(1, big))
+    table = _candidate_table(trs, domain, cfg, False, _Budget(None))
+    (rec,) = table.rules
+    f = parse_poly(f"x1 + 1/{big}")
+    pick = (table.polys["f"].index(f),)
+    real, composed = prover._excess_proved, []
+    monkeypatch.setattr(prover, "_excess_proved",
+                        lambda *args: composed.append(args) or real(*args))
+    for mode in ("strict", "weak"):
+        assert table.holds(rec, mode, pick)
+        lhs = eval_term_with({_F: f}, terms)
+        assert excess_at_least(lhs, Poly.var("x"), _margin(mode, domain), "Q0").is_proved
+    assert table.scale == big and len(composed) == (0 if interpolated else 2)
 
 
 def test_exhaustion_of_the_empty_system():
