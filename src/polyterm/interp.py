@@ -261,14 +261,16 @@ def _mono_witness(
 ) -> Verdict:
     """A closed-form rejection, with a witness point.
 
-    The failed condition names a line from the origin (h = 0): x_j for some
-    b_j < 0, else var (a < 0).  The difference is linear along it, so a point
-    past its root is a witness, if it is negative (not for a weak step, 0 at
-    h = 0); else the ladder looks for one.
+    The failed condition names a line from the origin: x_j for some b_j < 0,
+    else var (a < 0), with h = 0, or h = 1 for a weak step, which is h
+    alone.  The difference is linear along it, so a point past its root is a
+    witness, if it is negative; else the ladder looks for one.
     """
     var = arg_var(i)
     diff = _mono_shift_diff(poly, var, kind, domain)
     point = dict.fromkeys(diff.variables(), Fraction(0))
+    if kind == "weak" and _SHIFT_VAR in point:
+        point[_SHIFT_VAR] = Fraction(1)
     value = diff.eval(point)
     line = next((w for m, b in poly.terms.items() if len(m) == 2 and (var, 1) in m
                  and scalar_sign(b) < 0 for w, _ in m if w != var), var)

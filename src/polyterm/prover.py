@@ -10,8 +10,10 @@ total degree at most ``max_degree`` (2 at most) whose coefficients range over
 and delta ranges over the configured candidates.  Only candidates that are
 well-defined and strictly monotone (plus weakly monotone for incremental
 steps) enter the space; that filter discards nothing a certificate could
-use.  Three sound prunings keep enumeration feasible and cannot drop an
-acceptable candidate:
+use.  It enumerates only sign-feasible templates: each coefficient starts
+at the floor that the monotonicity lemma and the value at the origin imply
+(``_symbol_candidates``).  Three sound prunings keep enumeration feasible
+and cannot drop an acceptable candidate:
 
 * degree shapes: a rule whose right-hand side out-degrees its left-hand
   side under a candidate degree assignment refutes weak compatibility for
@@ -58,11 +60,13 @@ memo: the plan's samples, the scout and the picker ask it, so a check
 decided once in a space is never decided again there.
 
 Each public operation has one ``_Budget``: the deadline of
-``budget_seconds`` and the DFS node count.  The candidate table carries it,
-and it is checked where the work is: per degree shape, per template group and
-template, before each compatibility decision not memoised, and every 512 nodes.
-A group is cut ``_GROUP_GRACE`` s past the deadline; a run cut sooner stops
-between groups, so its work counts repeat.
+``budget_seconds``, a grace and the DFS node count.  The candidate table
+carries it, and it is checked where the work is: per degree shape and
+template, before each compatibility decision not memoised, and every 512
+nodes.  A space's set-up (degree shapes, filter and plan) is cut
+``_GROUP_GRACE`` s past the deadline, and its scan checks without grace as
+it starts; a run whose set-up ends within the grace stops before the scan's
+first node, so its work counts repeat.
 """
 
 from __future__ import annotations
@@ -107,7 +111,7 @@ _SELECTIVITY_SAMPLES = 160  # random candidate tuples per rule in _plan_order
 _REFUTE_POINTS = (0, 1, 16)  # all-equal carrier points tried before composing
 _POINT_BITS = MAX_COEFF_BITS - 2  # point values stop short of the cap: see _point_value
 _KEPT_EXAMPLES = 3  # certificates an exhaustion report prints
-_GROUP_GRACE = 0.5  # seconds past the deadline before a template group is cut
+_GROUP_GRACE = 0.5  # seconds past the deadline before a space's set-up is cut
 
 
 @dataclass(frozen=True)
@@ -175,14 +179,18 @@ class _Found(Exception):
 
 
 class _Budget:
-    """One search's deadline (None: unbounded) and its DFS node count."""
+    """One search's deadline (None: unbounded), its grace and its DFS node count.
+
+    ``grace`` is ``_GROUP_GRACE`` while a space is set up, and 0 in its scan.
+    """
 
     def __init__(self, seconds: float | None):
         self.deadline = None if seconds is None else time.monotonic() + seconds
+        self.grace = 0.0
         self.nodes = 0
 
-    def check(self, grace: float = 0.0) -> None:
-        if self.deadline is not None and time.monotonic() > self.deadline + grace:
+    def check(self) -> None:
+        if self.deadline is not None and time.monotonic() > self.deadline + self.grace:
             raise _BudgetExceeded
 
     def tick(self) -> None:
@@ -281,17 +289,27 @@ def _symbol_candidates(
     require_weak: bool,
     budget: _Budget,
 ) -> list[Poly]:
-    """Well-defined, strictly (and optionally weakly) monotone templates."""
+    """Well-defined, strictly (and optionally weakly) monotone templates.
+
+    Each position runs through the grid values at or above a floor that
+    ``_candidate_permissible`` implies (None: no floor): 0 for the constant
+    (the value at the origin) and every degree-2 coefficient (the a and b_j
+    of ``_mono_argument``), 1 for the slopes of a linear template (strict,
+    which the kinds always hold), and 0 for the slopes of a quadratic one
+    weakly monotone over Q0/R0, whose weak step is 0.  Filtering each
+    position of the lexicographic product keeps the survivors in order, and
+    each still goes through ``_candidate_permissible``.
+    """
     positions = _template_positions(sym.arity, degree)
-    top = [i for i, m in enumerate(positions) if sum(e for _, e in m) == degree]
-    # over Q0/R0 a weakly monotone well-defined template of degree <= 2
-    # has no negative coefficient at all
-    if require_weak and domain.kind != "N":
-        values = [v for v in values if scalar_sign(v) >= 0]
+    degrees = [sum(e for _, e in m) for m in positions]
+    top = [i for i, d in enumerate(degrees) if d == degree]
+    slope_floor = 1 if degree == 1 else 0 if require_weak and domain.kind != "N" else None
+    floors = [slope_floor if d == 1 else 0 for d in degrees]
+    lists = [[v for v in values if floor is None or v >= floor] for floor in floors]
     kinds = ("strict", "weak") if require_weak else ("strict",)
     out: list[Poly] = []
-    for coeffs in itertools.product(values, repeat=len(positions)):
-        budget.check(_GROUP_GRACE)
+    for coeffs in itertools.product(*lists):
+        budget.check()
         if degree > 0 and all(scalar_sign(coeffs[i]) == 0 for i in top):
             continue  # belongs to a lower-degree template
         poly = Poly({m: c for m, c in zip(positions, coeffs)})
@@ -440,6 +458,7 @@ def _candidate_table(
     The candidates depend on a symbol's arity only, so each (arity, degree)
     group is filtered once and shared by every symbol of that arity.
     """
+    budget.grace = _GROUP_GRACE  # until the scan starts (_Searcher._descend)
     values = coefficient_grid(domain.kind, replace(cfg, sqrt_d=domain.d))
     shapes = _feasible_shapes(trs, cfg, budget)
     groups: dict[tuple[int, int], list[Poly]] = {}
@@ -450,7 +469,6 @@ def _candidate_table(
         for d in sorted({shape[sym.name] for shape in shapes}):
             key = (sym.arity, d)
             if key not in groups:
-                budget.check()
                 groups[key] = _symbol_candidates(sym, d, domain, values, require_weak, budget)
             polys[sym.name].extend(groups[key])
             degrees[sym.name].extend([d] * len(groups[key]))
@@ -699,6 +717,8 @@ class _Searcher:
         on every full assignment.  The root state is 0.
         """
         n = len(self.symbols)
+        self.table.budget.grace = 0.0  # the space's set-up is over
+        self.table.budget.check()
 
         def walk(level: int, degrees: tuple[int, ...], state) -> None:
             if level == n:

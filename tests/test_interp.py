@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from polyterm import interp as interp_module
 from polyterm.corpus import load_certificate, load_trs
 from polyterm.interp import (
     Certificate,
@@ -145,6 +146,19 @@ def test_mono_witness_from_the_failed_condition(domain, text, arg, point, value)
     assert (verdict.point(), verdict.value) == (point, value)
     if domain.kind == "Q":
         _assert_refutes_strict_mono(parse_poly(text), f"x{arg}", domain.delta, verdict)
+
+
+def test_weak_mono_witness_steps_by_h(monkeypatch):
+    # a weak step over Q0 is h alone, so the line from the origin gives a 0
+    # difference; at h = 1 it is 2 - x2/64, negative past x2 = 128, and the
+    # ladder is never asked
+    monkeypatch.setattr(interp_module, "nonneg_on", None)
+    h = FunSym("h", 2)
+    poly = parse_poly("2*x1 + 2*x2 - 1/64*x1*x2 + 2")
+    verdict = check_monotone(Interp(domain_q(1), {h: poly}), "weak")[h][0]
+    assert (verdict.point(), verdict.value) == ({"x0": 1, "x2": 129}, Fraction(-1, 64))
+    step = {"x1": 1, "x2": 129}
+    assert poly.eval(step) - poly.eval(dict(step, x1=0)) == Fraction(-1, 64)
 
 
 def test_monotone_fresh_variable_reduction():

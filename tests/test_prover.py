@@ -1,5 +1,6 @@
 """Search, incremental proofs, exhaustion reports."""
 
+import collections
 import dataclasses
 import functools
 import itertools
@@ -139,8 +140,9 @@ def test_budget_is_reported():
 def test_budget_overshoot_is_bounded():
     # the deadline is checked per degree shape, per template filtered and per
     # compatibility decision too, not only every 512 DFS nodes; filtering the
-    # 15,625 binary quadratic templates of h alone takes seconds, and is cut
-    # once prover._GROUP_GRACE has passed after the deadline
+    # binary quadratic templates of h with coefficients up to 3 alone takes
+    # over a second, more than the prover._GROUP_GRACE that a space's set-up
+    # may run past the deadline, so it is cut
     q = SearchConfig(
         max_degree=2, max_coeff=4, denominators=(1, 2, 4),
         deltas=(Fraction(1, 2), Fraction(1)), budget_seconds=0.05,
@@ -149,7 +151,8 @@ def test_budget_overshoot_is_bounded():
         max_degree=2, max_coeff=5, denominators=(1, 2), deltas=(Fraction(1),),
         budget_seconds=0.05,
     )
-    binary = SearchConfig(max_degree=2, max_coeff=2, budget_seconds=0.05)
+    binary = SearchConfig(max_degree=2, max_coeff=3, budget_seconds=0.05)
+    unary = SearchConfig(max_degree=2, max_coeff=2, budget_seconds=0.05)
     r1, r2 = load_trs("r1.trs"), load_trs("r2.trs")
     h = parse_trs("(VAR x y) (RULES h(x, y) -> x)", name="h")
     # 2^18 degree shapes: enumerating them alone takes seconds
@@ -161,7 +164,7 @@ def test_budget_overshoot_is_bounded():
         lambda: search_incremental(r1, "Q", inc).status,
         lambda: exhaustion_report(h, "N", binary).line().split()[0],
         lambda: search_direct(h, "N", binary).status,
-        lambda: exhaustion_report(chain, "N", binary).line().split()[0],
+        lambda: exhaustion_report(chain, "N", unary).line().split()[0],
     )
     for run in runs:
         started = time.monotonic()
@@ -171,21 +174,43 @@ def test_budget_overshoot_is_bounded():
         assert elapsed < 1.0, f"{outcome} after {elapsed:.2f}s"
 
 
-def test_budget_cuts_between_template_groups(monkeypatch):
-    # past the deadline, a group being filtered still runs for the grace, but
-    # no new group starts: a run cut between groups repeats its work
-    cfg = SearchConfig(max_degree=2, max_coeff=1)
-    values = coefficient_grid("N", cfg)
-    late = _Budget(0.0)
-    whole = _symbol_candidates(FunSym("s", 1), 2, domain_n(), values, False, _Budget(None))
-    assert _symbol_candidates(FunSym("s", 1), 2, domain_n(), values, False, late) == whole
-    shapes = prover._feasible_shapes
-    monkeypatch.setattr(prover, "_feasible_shapes", lambda t, c, b: shapes(t, c, _Budget(None)))
-    with pytest.raises(prover._BudgetExceeded):
-        _candidate_table(load_trs("r1.trs"), domain_n(), cfg, False, late)
-    with pytest.raises(prover._BudgetExceeded):
-        late.check()
-    late.check(grace=60.0)
+def test_budget_cuts_between_set_up_and_scan(monkeypatch):
+    # a space's whole set-up (shapes, filter and plan) runs for the grace
+    # past the deadline, and its scan is checked without it: a run cut there
+    # repeats its work, even with a budget already past its deadline
+    r1 = load_trs("r1.trs")
+    cfg = SearchConfig(max_degree=2, max_coeff=2, denominators=(1, 2))
+    calls = collections.Counter()
+
+    def counted(name, decide):
+        def wrapper(*args):
+            calls[name] += 1
+            return decide(*args)
+        return wrapper
+
+    monkeypatch.setattr(prover, "_candidate_permissible",
+                        counted("filter", prover._candidate_permissible))
+    monkeypatch.setattr(prover._CandidateTable, "holds",
+                        counted("holds", prover._CandidateTable.holds))
+
+    def set_up(budget):
+        calls.clear()
+        table = _candidate_table(r1, domain_q(1), cfg, False, budget)
+        return table, prover._Searcher(r1, table, planned=True)
+
+    whole_table, whole = set_up(_Budget(None))
+    counts = [dict(calls)]
+    for _ in range(2):
+        late = _Budget(0.0)
+        table, searcher = set_up(late)
+        assert (table.shapes, table.polys) == (whole_table.shapes, whole_table.polys)
+        assert searcher.symbols == whole.symbols
+        counts.append(dict(calls))
+        with pytest.raises(prover._BudgetExceeded):
+            searcher.iterate(lambda: None)
+        assert late.nodes == 0
+    assert counts[0]["filter"] and counts[0]["holds"]
+    assert counts[0] == counts[1] == counts[2]
 
 
 def test_exhaustion_drops_compositions_past_the_limits():
@@ -355,6 +380,47 @@ def test_candidate_filter_agrees_with_checker():
                 assert _candidate_permissible(
                     poly, sym.arity, domain, ("strict", "weak")
                 ) == (well and strict and weak), (domain, poly)
+
+
+def _unpruned_candidates(sym, degree, domain, values, require_weak):
+    """The whole product of the grid through _candidate_permissible."""
+    positions = _template_positions(sym.arity, degree)
+    top = [i for i, m in enumerate(positions) if sum(e for _, e in m) == degree]
+    kinds = ("strict", "weak") if require_weak else ("strict",)
+    out = []
+    for coeffs in itertools.product(values, repeat=len(positions)):
+        if degree > 0 and all(coeffs[i] == 0 for i in top):
+            continue
+        poly = Poly(dict(zip(positions, coeffs)))
+        if _candidate_permissible(poly, sym.arity, domain, kinds):
+            out.append(poly)
+    return out
+
+
+@pytest.mark.parametrize("domain, cfg", [
+    (domain_n(), SearchConfig(max_coeff=2)),
+    *((domain_q(delta), SearchConfig(max_coeff=2, denominators=(1, 2)))
+      for delta in (Fraction(1, 2), Fraction(1), Fraction(2))),
+    (domain_r(1, 2), SearchConfig(max_coeff=1, sqrt_d=2)),
+], ids=["N", "Q-1/2", "Q-1", "Q-2", "R-sqrt2"])
+def test_pruned_enumeration_equals_unpruned(domain, cfg):
+    # the per-position floors drop only templates the filter rejects, and keep
+    # the survivors' order; ternary templates are linear only, and binary
+    # quadratics run on coefficients -1..1, and not over R or at delta 2,
+    # where the well-definedness ladder samples a grid for the negative
+    # slopes they admit (seconds to minutes per group)
+    for arity, degree in [(0, 0), (1, 1), (1, 2), (2, 1), (2, 2), (3, 1)]:
+        grid = cfg
+        if (arity, degree) == (2, 2):
+            if domain.kind == "R" or domain.delta == 2:
+                continue
+            grid = dataclasses.replace(cfg, max_coeff=1, denominators=(1,))
+        values = coefficient_grid(domain.kind, grid)
+        sym = FunSym("f", arity)
+        for require_weak in (False, True):
+            pruned = _symbol_candidates(sym, degree, domain, values, require_weak, _Budget(None))
+            assert pruned == _unpruned_candidates(sym, degree, domain, values, require_weak), (
+                arity, degree, require_weak)
 
 
 _PLAN_SCRIPT = """
