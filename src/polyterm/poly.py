@@ -383,6 +383,12 @@ def parse_poly(text: str, variables: Iterable[str] | None = None) -> Poly:
         i += 1
         return t
 
+    def integer() -> int:
+        t = take()
+        if not t.isdigit():  # a token of digits is ASCII only
+            raise ValueError(f"expected an integer, got {t!r} in {text!r}")
+        return int(t)
+
     def parse_term() -> Poly:
         coeff: Scalar = Fraction(1)
         exps: dict[str, int] = {}
@@ -391,14 +397,14 @@ def parse_poly(text: str, variables: Iterable[str] | None = None) -> Poly:
             if t == "sqrt":
                 take()
                 take("(")
-                d = int(take())
+                d = integer()
                 take(")")
                 coeff = coeff * quadext(0, 1, d)
             elif t is not None and t.isdigit():
                 num = int(take())
                 if peek() == "/":
                     take("/")
-                    den = int(take())
+                    den = integer()
                     if den == 0:
                         raise ZeroDivisionError("zero denominator in polynomial")
                     coeff = coeff * Fraction(num, den)
@@ -411,8 +417,10 @@ def parse_poly(text: str, variables: Iterable[str] | None = None) -> Poly:
                 e = 1
                 if peek() == "^":
                     take("^")
-                    e = int(take())
+                    e = integer()
                 exps[var] = exps.get(var, 0) + e
+            elif t is None:
+                raise ValueError(f"unexpected end of polynomial {text!r}")
             else:
                 raise ValueError(f"unexpected token {t!r} in {text!r}")
             if peek() == "*":

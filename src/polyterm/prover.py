@@ -57,9 +57,10 @@ leaf one.  Each space (one delta, one removal step) has one candidate table,
 filtered once per (arity, degree) and shared by a step's scout and picker.
 The table also carries the one compatibility decider, ``holds``, and its
 memo: the plan's samples, the scout and the picker ask it, so a check
-decided once in a space is never decided again there.
+decided once in a space is never decided again there.  No name outlives a
+scan: each space's searchers and table are freed when its scan returns.
 
-Each public operation has one ``_Budget``: the deadline of
+Each public operation has one ``_Budget``: its start, the deadline of
 ``budget_seconds``, a grace and the DFS node count.  The candidate table
 carries it, and it is checked where the work is: per degree shape and
 template, before each compatibility decision not memoised, and every 512
@@ -133,6 +134,8 @@ class SearchConfig:
             raise ValueError("denominators must be positive")
         if self.max_steps < 1:
             raise ValueError("max_steps must be positive")
+        if self.budget_seconds is not None and not self.budget_seconds >= 0:  # NaN fails this too
+            raise ValueError("budget_seconds must be a number >= 0")
 
     def bounds_text(self, domain_kind: str) -> str:
         parts = [f"degree<={self.max_degree}", f"coeff<={self.max_coeff}"]
@@ -179,13 +182,14 @@ class _Found(Exception):
 
 
 class _Budget:
-    """One search's deadline (None: unbounded), its grace and its DFS node count.
+    """One search's start, deadline (None: unbounded), grace and DFS node count.
 
     ``grace`` is ``_GROUP_GRACE`` while a space is set up, and 0 in its scan.
     """
 
     def __init__(self, seconds: float | None):
-        self.deadline = None if seconds is None else time.monotonic() + seconds
+        self.start = time.monotonic()
+        self.deadline = None if seconds is None else self.start + seconds
         self.grace = 0.0
         self.nodes = 0
 
@@ -634,50 +638,31 @@ class _Searcher:
         self.table = table
         if planned:
             mode = "weak" if table.require_weak else "strict"
-            level_symbols = _plan_order(trs, table, mode)
+            self.symbols = _plan_order(trs, table, mode)
         else:
-            level_symbols = list(trs.signature)
-        self.symbols = level_symbols
-        self.shape_tuples = {
-            tuple(shape[s.name] for s in level_symbols) for shape in table.shapes
-        }
-        self._prefixes = [
-            {t[:k] for t in self.shape_tuples} for k in range(len(level_symbols) + 1)
-        ]
-        self.cands = [table.polys[s.name] for s in level_symbols]
-        self.cand_degrees = [table.degrees[s.name] for s in level_symbols]
+            self.symbols = list(trs.signature)
+        shapes = {tuple(shape[s.name] for s in self.symbols) for shape in table.shapes}
+        self._prefixes = [{t[:k] for t in shapes} for k in range(len(self.symbols) + 1)]
+        self.cands = [table.polys[s.name] for s in self.symbols]
+        self.cand_degrees = [table.degrees[s.name] for s in self.symbols]
 
-        level_of = {sym: lvl for lvl, sym in enumerate(level_symbols)}
+        level_of = {sym: lvl for lvl, sym in enumerate(self.symbols)}
         self.rules = [_RuleSlot(rec, tuple(map(level_of.get, rec.syms))) for rec in table.rules]
-        self.by_ready: list[list[_RuleSlot]] = [[] for _ in level_symbols]
-        for slot in self.rules:
-            self.by_ready[max(slot.pick_levels)].append(slot)
-        # at each level, the largest group of ready rules sharing one
-        # dependency key drives a memoized pass-list over the candidates
-        self.driver_rules: list[list[_RuleSlot]] = []
-        self.driver_deps: list[tuple[int, ...]] = []
-        self.other_rules: list[list[_RuleSlot]] = []
-        for lvl, slots in enumerate(self.by_ready):
-            groups: dict[tuple[int, ...], list[_RuleSlot]] = {}
-            for slot in slots:
-                dep = tuple(sorted(l for l in slot.pick_levels if l != lvl))
-                groups.setdefault(dep, []).append(slot)
-            if groups:
-                dep = max(groups, key=lambda k: len(groups[k]))
-                self.driver_rules.append(groups[dep])
-                self.driver_deps.append(dep)
-                self.other_rules.append(
-                    [s for s in slots if s not in groups[dep]]
-                )
-            else:
-                self.driver_rules.append([])
-                self.driver_deps.append(())
-                self.other_rules.append([])
-        self._driver_memo: list[dict[tuple, list[int]]] = [
-            {} for _ in level_symbols
-        ]
-
-        self.idx: list[int] = [-1] * len(level_symbols)
+        # a rule is ready at the level of its last symbol; at each level, the
+        # largest group of ready rules sharing one dependency key drives a
+        # memoized pass-list over the candidates, and the rest follow in rule order
+        self.driver_rules, self.driver_deps, self.other_rules = [], [], []
+        for lvl in range(len(self.symbols)):
+            ready = [slot for slot in self.rules if max(slot.pick_levels) == lvl]
+            groups = defaultdict(list)
+            for slot in ready:
+                groups[tuple(sorted(l for l in slot.pick_levels if l != lvl))].append(slot)
+            dep = max(groups, key=lambda k: len(groups[k]), default=())
+            self.driver_rules.append(groups[dep])
+            self.driver_deps.append(dep)
+            self.other_rules.append([slot for slot in ready if slot not in groups[dep]])
+        self._driver_memo: list[dict[tuple, list[int]]] = [{} for _ in self.symbols]
+        self.idx = [-1] * len(self.symbols)
 
     def _compat(self, slot: _RuleSlot, mode: str) -> bool:
         pick = tuple(map(self.idx.__getitem__, slot.pick_levels))
@@ -705,54 +690,47 @@ class _Searcher:
             memo[key] = passing
         return passing
 
-    def _shape_feasible(self, prefix_degrees: tuple[int, ...]) -> bool:
-        return prefix_degrees in self._prefixes[len(prefix_degrees)]
-
     def _descend(self, mode: str, visit, leaf) -> None:
-        """The one DFS over assignments, pruned by ``mode`` compatibility.
+        """The one DFS over assignments (``_walk``), pruned by ``mode`` compatibility."""
+        self.table.budget.grace = 0.0  # the space's set-up is over: check without grace
+        self.table.budget.check()
+        self._walk(0, (), 0, mode, visit, leaf)
+
+    def _walk(self, level: int, degrees: tuple[int, ...], state, mode: str, visit, leaf) -> None:
+        """The DFS below a prefix whose degree shape is ``degrees``.
 
         Each level walks its pass-list, skips infeasible degree shapes and
         assigns the candidate; ``visit(level, state)`` then returns the
         child's state, or None to prune the subtree.  ``leaf(state)`` runs
-        on every full assignment.  The root state is 0.
+        on every full assignment; the root state is 0.  A method, so no
+        closure refers to itself and keeps the searcher (and its table)
+        alive past its scan.
         """
-        n = len(self.symbols)
-        self.table.budget.grace = 0.0  # the space's set-up is over
-        self.table.budget.check()
-
-        def walk(level: int, degrees: tuple[int, ...], state) -> None:
-            if level == n:
-                leaf(state)
-                return
-            cand_degrees = self.cand_degrees[level]
-            for ci in self._level_candidates(level, mode):
-                new_degrees = degrees + (cand_degrees[ci],)
-                if not self._shape_feasible(new_degrees):
-                    continue
-                self.table.budget.tick()
-                self.idx[level] = ci
-                child = visit(level, state)
-                if child is not None:
-                    walk(level + 1, new_degrees, child)
-            self.idx[level] = -1
-
-        try:
-            walk(0, (), 0)
-        finally:  # walk refers to itself; unbound, it no longer keeps self (and the table) alive
-            del walk
+        if level == len(self.symbols):
+            leaf(state)
+            return
+        cand_degrees = self.cand_degrees[level]
+        for ci in self._level_candidates(level, mode):
+            new_degrees = degrees + (cand_degrees[ci],)
+            if new_degrees not in self._prefixes[level + 1]:
+                continue
+            self.table.budget.tick()
+            self.idx[level] = ci
+            child = visit(level, state)
+            if child is not None:
+                self._walk(level + 1, new_degrees, child, mode, visit, leaf)
+        self.idx[level] = -1
 
     def iterate(self, on_leaf) -> None:
-        """DFS over assignments, pruned by strict compatibility."""
+        """DFS over assignments, pruned by strict compatibility; ``on_leaf(self)`` at each leaf."""
 
         def visit(level: int, state):
             ok = all(self._compat(slot, "strict") for slot in self.other_rules[level])
             return state if ok else None
 
-        self._descend("strict", visit, lambda state: on_leaf())
+        self._descend("strict", visit, lambda state: on_leaf(self))
 
-    def scan_removal(
-        self, target: int | None = None
-    ) -> "int | tuple[Interp, tuple[int, ...]] | None":
+    def scan_removal(self, target: int | None = None) -> "int | tuple[Interp, tuple[int, ...]] | None":
         """Branch-and-bound scan of the weakly compatible space.
 
         With ``target=None``: return the maximum number of strictly
@@ -902,14 +880,14 @@ def _strict_scan(
     """The strict DFS over each configured delta in turn, under one budget.
 
     ``on_leaf(searcher)`` runs on every certificate and may stop the scan by
-    raising ``_Found``.  Returns ("found", what was found), ("exhausted",
+    raising ``_Found``.  Each space's searcher is a temporary that no name
+    binds, so it and its table are freed when its scan returns, before the
+    next space is set up.  Returns ("found", what was found), ("exhausted",
     None) or ("budget", None).
     """
     try:
         for tag in _domains_to_try(domain, cfg):
-            searcher = _Searcher(trs, _candidate_table(trs, tag, cfg, False, budget), planned)
-            searcher.iterate(partial(on_leaf, searcher))
-            del searcher  # its memos would stay alive while the next delta is set up
+            _Searcher(trs, _candidate_table(trs, tag, cfg, False, budget), planned).iterate(on_leaf)
     except _Found as hit:
         return "found", hit.args[0]
     except _BudgetExceeded:
@@ -919,14 +897,13 @@ def _strict_scan(
 
 def search_direct(trs: Trs, domain, cfg: SearchConfig) -> SearchResult:
     """First certificate in canonical order, or exhausted/budget status."""
-    start = time.monotonic()
     budget = _Budget(cfg.budget_seconds)
 
     def grab(searcher: _Searcher):
         raise _Found(searcher.interp_from_state())
 
     status, interp = _strict_scan(trs, domain, cfg, budget, False, grab)
-    return SearchResult(status, interp, budget.nodes, time.monotonic() - start)
+    return SearchResult(status, interp, budget.nodes, time.monotonic() - budget.start)
 
 
 def _best_step(
@@ -947,14 +924,13 @@ def _best_step(
 
 def search_incremental(trs: Trs, domain, cfg: SearchConfig) -> IncrementalResult:
     """Greedy removal loop per Definition of stepwise polynomial termination."""
-    start = time.monotonic()
     budget = _Budget(cfg.budget_seconds)
     tags = _domains_to_try(domain, cfg)
     steps: list[tuple[Interp, tuple[int, ...]]] = []
     residual = trs
 
     def result(status: str, proof: Certificate | None = None) -> IncrementalResult:
-        return IncrementalResult(status, proof, budget.nodes, time.monotonic() - start)
+        return IncrementalResult(status, proof, budget.nodes, time.monotonic() - budget.start)
 
     while residual.rules:
         if len(steps) >= cfg.max_steps:
@@ -1008,7 +984,6 @@ class ExhaustionReport:
 
 def exhaustion_report(trs: Trs, domain, cfg: SearchConfig) -> ExhaustionReport:
     """Enumerate the whole space, counting every direct certificate in it."""
-    start = time.monotonic()
     budget = _Budget(cfg.budget_seconds)
     kind = domain.kind if isinstance(domain, DomainTag) else str(domain)
     if isinstance(domain, DomainTag) and kind != "N":  # report the one space searched
@@ -1023,13 +998,5 @@ def exhaustion_report(trs: Trs, domain, cfg: SearchConfig) -> ExhaustionReport:
             examples.append(repr(searcher.interp_from_state()))
 
     status, _ = _strict_scan(trs, domain, cfg, budget, True, leaf)
-    return ExhaustionReport(
-        trs.name or "trs",
-        kind,
-        cfg.bounds_text(kind),
-        status == "exhausted",
-        count,
-        tuple(examples),
-        budget.nodes,
-        time.monotonic() - start,
-    )
+    return ExhaustionReport(trs.name or "trs", kind, cfg.bounds_text(kind), status == "exhausted",
+                            count, tuple(examples), budget.nodes, time.monotonic() - budget.start)

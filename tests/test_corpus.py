@@ -6,9 +6,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import polyterm
+from polyterm import corpus
 from polyterm.cli import run_cli
-from polyterm.corpus import load_certificate, load_corpus, verify_all
+from polyterm.corpus import (
+    CorpusCertificate,
+    CorpusEntry,
+    ExpectedFailure,
+    load_certificate,
+    load_corpus,
+    verify_all,
+)
 from polyterm.interp import check_certificate, check_incremental, lift_q_to_r
 
 
@@ -73,6 +83,31 @@ def test_verify_all_summary():
     text = report.format()
     assert text.endswith("VERDICT accepted")
     assert "r4_real" in text
+
+
+_RULE_7 = ExpectedFailure("strict-compat", rule_index=7)
+
+
+@pytest.mark.parametrize(
+    "entry, fail_line",
+    [
+        (CorpusEntry("R1", "r1.trs", 13, ()), "FAIL R1: expected 13 rules, parsed 12"),
+        (CorpusEntry("R1", "r1.trs", 12, (CorpusCertificate("r1_nat_bad", True),)),
+         "FAIL r1_nat_bad: expected accept: VERDICT rejected"),
+        (CorpusEntry("R1", "r1.trs", 12, (CorpusCertificate("r1_nat", False, _RULE_7),)),
+         "FAIL r1_nat: unexpectedly accepted"),
+        (CorpusEntry("R1", "r1.trs", 12, (CorpusCertificate(
+            "r1_nat_bad", False, ExpectedFailure("strict-compat", rule_index=8)),)),
+         "FAIL r1_nat_bad: expected strict-compat at rule 8, got strict-compat of rule 7"),
+    ],
+    ids=["rule-count", "rejected-accept", "unexpected-accept", "wrong-site"],
+)
+def test_verify_all_reports_each_failure(monkeypatch, entry, fail_line):
+    monkeypatch.setattr(corpus, "load_corpus", lambda: [entry])
+    assert not verify_all().ok
+    report = run_cli(["corpus", "verify"])
+    assert report.exit_code == 1 and report.text.endswith("VERDICT rejected")
+    assert "  " + fail_line in report.text.splitlines()
 
 
 def test_copied_package_reads_its_data_and_imports_little(tmp_path):

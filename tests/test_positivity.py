@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from polyterm import positivity
 from polyterm.poly import Poly, parse_poly
 from polyterm.positivity import (
     Verdict,
@@ -167,3 +168,20 @@ def test_grid_witness_is_least_in_canonical_order():
     p = parse_poly("x^3 - 5*x^2 + 6*x")
     v = nonneg_on(p, "Q0")
     assert v.is_disproved and dict(v.witness)["x"] == Fraction(5, 2)
+
+
+def test_grid_search_stops_at_the_sample_cap(monkeypatch):
+    # the cubic's first negative grid point, 5/2, is the 36th: a cap of 10
+    # leaves it Unknown after 10 evaluations at most
+    p = parse_poly("x^3 - 5*x^2 + 6*x")
+    evaluations = []
+
+    def counted(self, binding):
+        evaluations.append(binding)
+        return evaluate(self, binding)
+
+    evaluate = Poly.eval
+    monkeypatch.setattr(positivity, "SAMPLE_CAP", 10)
+    monkeypatch.setattr(Poly, "eval", counted)
+    assert nonneg_on(p, "Q0").is_unknown
+    assert 0 < len(evaluations) <= 10

@@ -3,12 +3,14 @@
 import collections
 import dataclasses
 import functools
+import gc
 import itertools
 import math
 import os
 import subprocess
 import sys
 import time
+import weakref
 from fractions import Fraction
 from unittest import mock
 
@@ -207,10 +209,40 @@ def test_budget_cuts_between_set_up_and_scan(monkeypatch):
         assert searcher.symbols == whole.symbols
         counts.append(dict(calls))
         with pytest.raises(prover._BudgetExceeded):
-            searcher.iterate(lambda: None)
+            searcher.iterate(lambda _: None)
         assert late.nodes == 0
     assert counts[0]["filter"] and counts[0]["holds"]
     assert counts[0] == counts[1] == counts[2]
+
+
+def test_each_space_is_freed_when_its_scan_returns(monkeypatch):
+    # with the cyclic collector off, reference counts alone free a space: a
+    # name bound to a finished searcher, or a closure that refers to itself,
+    # would keep its table and memos alive while the next space is set up
+    r6 = load_trs("r6.trs")
+    cfg = SearchConfig(max_degree=1, max_coeff=2, denominators=(1, 2),
+                       deltas=(Fraction(1, 2), Fraction(1)))
+    tables, alive_at_build = [], []
+    build = prover._candidate_table
+
+    def tracked(*args):
+        table = build(*args)
+        alive_at_build.append([ref() is not None for ref in tables])
+        tables.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(prover, "_candidate_table", tracked)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        rep = exhaustion_report(r6, "Q", cfg)
+        alive_at_end = [ref() is not None for ref in tables]
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert rep.complete and len(tables) == 2
+    assert alive_at_build == [[], [False]]
+    assert alive_at_end == [False, False]
 
 
 def test_exhaustion_drops_compositions_past_the_limits():

@@ -119,6 +119,33 @@ _CERT_ERRORS = {
     # a form feed is not a blank, so "x1\f+" is one atom; the polynomial
     # reader then takes it as x1 +
     "form-feed-in-poly": ("(DOMAIN N) (INTERP (f (x1) x1\f+ 1))", "VERDICT accepted", 0),
+    # the polynomial reader names a non-integer after ^, / or sqrt( and an
+    # early end in its own words
+    "poly-exponent": (
+        "(DOMAIN N) (INTERP (f (x1) x1^x1))",
+        "ERROR expected an integer, got 'x1' in 'x1^x1'",
+        3,
+    ),
+    "poly-denominator": (
+        "(DOMAIN N) (INTERP (f (x1) 2/x1))",
+        "ERROR expected an integer, got 'x1' in '2/x1'",
+        3,
+    ),
+    "poly-radicand": (
+        "(DOMAIN N) (INTERP (f (x1) sqrt(x1)*x1))",
+        "ERROR expected an integer, got 'x1' in 'sqrt ( x1 ) *x1'",
+        3,
+    ),
+    "poly-signed-exponent": (
+        "(DOMAIN N) (INTERP (f (x1) x1^-1))",
+        "ERROR expected an integer, got '-' in 'x1^-1'",
+        3,
+    ),
+    "poly-end": (
+        "(DOMAIN N) (INTERP (f (x1) x1 +))",
+        "ERROR unexpected end of polynomial 'x1 +'",
+        3,
+    ),
 }
 
 
