@@ -157,12 +157,23 @@ def _cmd_corpus(args) -> tuple[int, str]:
     return (0 if report.ok else 1), report.format()
 
 
+def _bind_budget(argv: list[str]) -> list[str]:
+    """``--budget V`` as ``--budget=V``: argparse takes a V like -inf or -1e3 for an option."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] == "--budget":
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def run_cli(argv: list[str]) -> CliReport:
     """Run one command; never raises for bad input (exit code 3 instead)."""
     started = time.monotonic()
     argv = list(argv)
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser().parse_args(_bind_budget(argv))
         if args.command == "parse":
             code, text = _cmd_parse(args)
         elif args.command == "check":

@@ -46,6 +46,7 @@ Parentheses nest at most ``trs.MAX_NESTING`` levels deep.
 from __future__ import annotations
 
 import re
+import sys
 from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
@@ -652,7 +653,11 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 def _integer(form) -> int:  # ASCII digits only, unlike int()
     if not isinstance(form, str) or not _INTEGER.fullmatch(form):
         raise ValueError(f"expected an integer, got {_render(form)!r}")
-    return int(form)
+    try:
+        return int(form)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise ValueError(f"integer of {len(form.lstrip('+-'))} digits, over the limit of "
+                         f"{sys.get_int_max_str_digits()}") from None
 
 
 def _render(form) -> str:

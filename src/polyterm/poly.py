@@ -22,6 +22,7 @@ printed by ``numeric.format_scalar``.
 from __future__ import annotations
 
 import re
+import sys
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
@@ -387,7 +388,11 @@ def parse_poly(text: str, variables: Iterable[str] | None = None) -> Poly:
         t = take()
         if not t.isdigit():  # a token of digits is ASCII only
             raise ValueError(f"expected an integer, got {t!r} in {text!r}")
-        return int(t)
+        try:
+            return int(t)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise ValueError(f"integer of {len(t)} digits, over the limit of "
+                             f"{sys.get_int_max_str_digits()}, in {text!r}") from None
 
     def parse_term() -> Poly:
         coeff: Scalar = Fraction(1)
@@ -401,7 +406,7 @@ def parse_poly(text: str, variables: Iterable[str] | None = None) -> Poly:
                 take(")")
                 coeff = coeff * quadext(0, 1, d)
             elif t is not None and t.isdigit():
-                num = int(take())
+                num = integer()
                 if peek() == "/":
                     take("/")
                     den = integer()

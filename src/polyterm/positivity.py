@@ -5,14 +5,16 @@ package reduces to "p >= 0 on the whole carrier".  The decision ladder:
 
 1. constant polynomials: exact sign;
 2. absolute positiveness: all coefficients >= 0 proves any carrier;
-3. univariate degree <= 2 over Q0/R0: the exact half-line criterion
-   a >= 0 and c >= 0 and (b >= 0 or b^2 <= 4ac), with an exact witness
-   (the vertex -b/2a, or a large enough point) when it fails;
-4. over N: shifted absolute positiveness -- p(x1+s, ..., xn+s) has only
+3. over N: shifted absolute positiveness -- p(x1+s, ..., xn+s) has only
    nonnegative coefficients for some s <= DEFAULT_SHIFT_BOUND, and the
    region where some coordinate stays below s is covered by pinning each
    variable to each value in {0, .., s-1} and deciding the rest recursively
    (for univariate p that is just a finite point check);
+4. univariate degree <= 2 on every carrier (over N, rational coefficients):
+   a >= 0, c >= 0, and b >= 0 or, over Q0/R0, b^2 <= 4ac, over N with a > 0,
+   p >= 0 at m = floor(-b/2a) and m + 1; an exact witness when it fails: over
+   Q0/R0 the vertex -b/2a or a large enough point, over N the least integer
+   where p < 0, the point the grid would find first;
 5. counterexample sampling on a rational grid (denominator-major order,
    denominators 1,2,4,8, numerators 0..32; integers 0..32 over N), at most
    SAMPLE_CAP points;
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .numeric import Scalar, as_scalar, format_scalar, scalar_sign
+from .numeric import QuadExt, Scalar, as_scalar, format_scalar, scalar_sign
 from .poly import Poly
 
 __all__ = [
@@ -104,26 +106,41 @@ class Verdict:
         return "unknown" + (f" ({self.reason})" if self.reason else "")
 
 
-def quad_nonneg_halfline(a: Scalar, b: Scalar, c: Scalar) -> bool:
-    """Exact test for a*x^2 + b*x + c >= 0 on the half-line [0, oo)."""
+def quad_nonneg_halfline(a: Scalar, b: Scalar, c: Scalar, base: str) -> bool:
+    """Exact test for a*x^2 + b*x + c >= 0 on the carrier: [0, oo), or N."""
     if scalar_sign(a) < 0 or scalar_sign(c) < 0:
         return False
     if scalar_sign(b) >= 0:
         return True
+    if base == "N" and scalar_sign(a) > 0:  # least on N at m or m + 1
+        m = -b // (2 * a)
+        return all(scalar_sign((a * x + b) * x + c) >= 0 for x in (m, m + 1))
     return scalar_sign(b * b - 4 * a * c) <= 0
 
 
-def _quad_witness(p: Poly, var: str, a: Scalar, b: Scalar, c: Scalar):
-    """A point of [0, oo) where the failing quadratic is negative."""
+def _quad_witness(p: Poly, var: str, a: Scalar, b: Scalar, c: Scalar, base: str):
+    """A point of the carrier where the failing quadratic is negative.
+
+    Over N it is the least such integer, the one the grid finds first.
+    """
     if scalar_sign(c) < 0:
         return Fraction(0)
+    negative = lambda x: scalar_sign(p.eval({var: Fraction(x)})) < 0  # noqa: E731
     if scalar_sign(a) < 0 or (scalar_sign(a) == 0 and scalar_sign(b) < 0):
-        x = Fraction(1)
-        while scalar_sign(p.eval({var: x})) >= 0:
+        x = 1
+        while not negative(x):
             x *= 2
-        return x
-    # a > 0, b < 0, b^2 > 4ac: the vertex is in (0, oo) and negative there
-    return -b / (2 * a)
+    elif base != "N":
+        # a > 0, b < 0, b^2 > 4ac: the vertex is in (0, oo) and negative there
+        return -b / (2 * a)
+    else:  # a > 0 > b: negative at m = floor(-b/2a) or at m + 1
+        x = -b // (2 * a)
+        x += not negative(x)
+    low = -1  # over N, p < 0 on (low, x] and >= 0 on [0, low]: bisect
+    while base == "N" and x - low > 1:
+        mid = (low + x) // 2
+        low, x = (low, mid) if negative(mid) else (mid, x)
+    return Fraction(x)
 
 
 def _grid_sequence(base: str) -> list[Scalar]:
@@ -199,21 +216,22 @@ def nonneg_on(p: Poly, base: str) -> Verdict:
     if all(scalar_sign(c) >= 0 for c in p.coeffs()):
         return Verdict.proved("absolute-positiveness")
 
-    variables = p.variables()
-    if base in ("Q0", "R0") and len(variables) == 1 and p.degree() <= 2:
-        var = variables[0]
-        a = p.coeff({var: 2})
-        b = p.coeff({var: 1})
-        c = p.constant()
-        if quad_nonneg_halfline(a, b, c):
-            return Verdict.proved("quadratic-criterion")
-        x = _quad_witness(p, var, a, b, c)
-        return Verdict.disproved({var: x}, p.eval({var: x}))
-
     if base == "N":
         verdict = _shifted_nonneg_n(p)
         if verdict is not None:
             return verdict
+
+    variables = p.variables()
+    rational = not any(isinstance(c, QuadExt) for c in p.coeffs())  # over N, m needs a floor
+    if len(variables) == 1 and p.degree() <= 2 and (rational or base != "N"):
+        var = variables[0]
+        a = p.coeff({var: 2})
+        b = p.coeff({var: 1})
+        c = p.constant()
+        if quad_nonneg_halfline(a, b, c, base):
+            return Verdict.proved("quadratic-criterion")
+        x = _quad_witness(p, var, a, b, c, base)
+        return Verdict.disproved({var: x}, p.eval({var: x}))
 
     found = _grid_search(p, base)
     if found is not None:

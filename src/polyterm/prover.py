@@ -27,14 +27,14 @@ and cannot drop an acceptable candidate:
   term's value is n / L^k for Python ints n, k, or (a + b*sqrt(d)) / L^k
   over Q(sqrt d), whose sign the signs of a, b and the order of a^2 and
   d*b^2 decide.  So a negative value is a true counterexample and disproves
-  the rule.  The survivors are interpolated over Q0/R0, and composed and
-  decided by ``nonneg_on`` over N or past degree 2.
+  the rule.  The survivors are interpolated, or composed and decided by
+  ``nonneg_on`` in two variables or past degree 2.
 
-Over Q0 and R0, a rule in one variable whose sides have degree <= 2 has a
+On every carrier, a rule in one variable whose sides have degree <= 2 has a
 quadratic excess, fixed by its values at x = 0, 1 and 16; the ladder decides
-it exactly by the half-line test, which the search applies to the
-interpolated coefficients.  A ground rule's excess is its value at x = 0,
-over N too.  Where a point value passes the bit cap, the rule is composed.
+it exactly by ``quad_nonneg_halfline``, which the search applies to the
+interpolated coefficients.  A ground rule's excess is its value at x = 0.
+Where a point value passes the bit cap, the rule is composed.
 
 Candidates are enumerated canonically: symbols in signature order; per
 symbol constants, then linear, then quadratic templates; coefficient tuples
@@ -358,8 +358,8 @@ class _CandidateTable:
     life, so plan samples and every searcher over the table share them.  It
     memoises each side's point values too; the plan drops those after
     sampling, since the scan reuses few of the random samples' sides.  The
-    points decide nearly every check; the few left (over N, with two
-    variables or past degree 2) are composed and not memoised.
+    points decide nearly every check; the few left (with two variables,
+    past degree 2 or past the bit cap) are composed and not memoised.
     """
 
     domain: DomainTag
@@ -392,8 +392,8 @@ class _CandidateTable:
             (lhs, lhs_pos), (rhs, rhs_pos) = rec.sides
             ok = _decided_at_points(partial(self._point_side, rec, pick, lhs, lhs_pos),
                                     partial(self._point_side, rec, pick, rhs, rhs_pos),
-                                    self.margins[mode], self.scale, self.root, rec.ground,
-                                    partial(self._quadratic, rec, pick))
+                                    self.margins[mode], self.scale, self.root, self.domain.base,
+                                    rec.ground, partial(self._quadratic, rec, pick))
             if ok is None:
                 assignment = {s: self.polys[s.name][i] for s, i in zip(rec.syms, pick)}
                 ok = _excess_proved(lambda: (eval_term_with(assignment, lhs),
@@ -416,10 +416,9 @@ class _CandidateTable:
         return memo[key]
 
     def _quadratic(self, rec, pick) -> bool:
-        """Whether the excess is a quadratic in one variable, over Q0 or R0 (not N's ladder)."""
+        """Whether the excess is a quadratic in one variable."""
         degree_of = lambda s: self.degrees[s.name][pick[rec.pos[s]]]  # noqa: E731
-        return (rec.univariate and self.domain.kind != "N"
-                and all(_shape_ub(t, degree_of) <= 2 for t, _ in rec.sides))
+        return rec.univariate and all(_shape_ub(t, degree_of) <= 2 for t, _ in rec.sides)
 
 
 def _parts(c: Scalar) -> tuple:
@@ -563,13 +562,14 @@ def _root_point_value(term: Term, v: int, form_of, scale: int, root: int):
     return (a, b), k
 
 
-def _decided_at_points(lhs_at, rhs_at, margin, scale: int, root: int, ground: bool, quadratic):
+def _decided_at_points(lhs_at, rhs_at, margin, scale: int, root: int, base: str, ground: bool,
+                       quadratic):
     """lhs - rhs >= margin decided at points: False, True, or None to compose.
 
     ``lhs_at(v)`` and ``rhs_at(v)`` are the sides' point values at v, and
     ``margin`` is an ``_int_margin``.  A point of ``_REFUTE_POINTS`` where the
     excess falls short is a disproof.  A ``ground`` rule is decided at x = 0,
-    and one where ``quadratic()`` holds by its excess at the three points.
+    and one where ``quadratic()`` holds by its three excesses, on ``base``.
     The excess at v is e_v / (den * scale**k), and k does not depend on v.
     """
     ma, mb, den = margin
@@ -589,21 +589,21 @@ def _decided_at_points(lhs_at, rhs_at, margin, scale: int, root: int, ground: bo
         if (quadratic_sign(*e, root) if root else e) < 0:
             return False
         excess.append(e)
-    return True if ground else _interpolated_nonneg(*excess, root) if quadratic() else None
+    return True if ground else _interpolated_nonneg(*excess, root, base) if quadratic() else None
 
 
-def _interpolated_nonneg(e0, e1, e16, root: int) -> bool:
+def _interpolated_nonneg(e0, e1, e16, root: int, base: str) -> bool:
     """The ladder's verdict on the quadratic excess with these scaled values.
 
-    c2, c1, c0 are 240 times its coefficients.  Over Q0 and R0 the ladder's
-    constant rung, absolute positiveness and ``quad_nonneg_halfline`` each
-    prove it exactly where the half-line test holds, as at any positive
-    scale.  With a ``root`` d the values are pairs (a, b) of a + b*sqrt(d).
+    c2, c1, c0 are 240 times its coefficients.  Every rung is sound and the
+    quadratic one exact, so the ladder proves it on the carrier ``base``
+    exactly where ``quad_nonneg_halfline`` holds, at any positive scale.
+    With a ``root`` d the values are pairs (a, b) of a + b*sqrt(d).
     """
     if root:
         e0, e1, e16 = (quadext(a, b, root) for a, b in (e0, e1, e16))
     c2 = e16 - 16 * e1 + 15 * e0
-    return quad_nonneg_halfline(c2, 240 * (e1 - e0) - c2, 240 * e0)
+    return quad_nonneg_halfline(c2, 240 * (e1 - e0) - c2, 240 * e0, base)
 
 
 def _excess_proved(sides, margin: Scalar, domain: DomainTag) -> bool:

@@ -173,12 +173,16 @@ def test_unknown_flag_is_usage_error():
         prove = ["prove", "--trs", str(DATA / "r1.trs"), "--domain", "Q", "--delta", delta]
         assert run_cli(prove).exit_code == 3
     # a NaN budget would never cut (monotonic() > nan is False), and a
-    # negative one would cut before the first node
+    # negative one would cut before the first node; argparse's own rule
+    # would take -inf and -1e3 for options, which Python versions draw apart
     exhaust = ["prove", "--trs", str(DATA / "r1.trs"), "--domain", "Q", "--exhaustive",
                "--max-coeff", "4", "--denoms", "1,2,4", "--delta", "1/2,1"]
-    for budget in ("nan", "-1"):
-        report = run_cli(exhaust + ["--budget", budget])
-        assert (report.text, report.exit_code) == ("ERROR budget_seconds must be a number >= 0", 3)
+    for budget in ("nan", "-1", "-inf", "-1e3"):
+        for argv in (exhaust + ["--budget", budget], exhaust + ["--budget=" + budget],
+                     exhaust[:1] + ["--budget", budget] + exhaust[1:]):
+            report = run_cli(argv)
+            assert (report.text, report.exit_code) == (
+                "ERROR budget_seconds must be a number >= 0", 3)
 
 
 def test_corpus_verify():

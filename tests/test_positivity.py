@@ -1,10 +1,13 @@
 """The non-negativity decision ladder and its soundness guarantees."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from polyterm import positivity
 from polyterm.poly import Poly, parse_poly
@@ -113,7 +116,43 @@ def test_quadratic_criterion_matches_brute_force():
         a = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
         b = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
         c = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
-        assert quad_nonneg_halfline(a, b, c) == _brute_force_quad(a, b, c)
+        assert quad_nonneg_halfline(a, b, c, "Q0") == _brute_force_quad(a, b, c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(an=st.integers(-6, 6).filter(bool), ad=st.integers(1, 6), vn=st.integers(33, 2000),
+       vr=st.integers(0, 5), vd=st.integers(1, 6), k=st.integers(-60, 60), kd=st.integers(1, 10))
+@example(an=1, ad=1, vn=40, vr=4, vd=5, k=-1, kd=10)  # >= 0 at 40, the vertex's floor, < 0 at 41
+@example(an=1, ad=1, vn=40, vr=0, vd=1, k=-60, kd=1)  # < 0 on 33..47 around the vertex 40
+def test_quadratic_over_n_matches_brute_force(an, ad, vn, vr, vd, k, kd):
+    # p = a*x*(x - 2v) + c with the vertex v = vn + vr/vd past the grid's 32,
+    # and c = a*v^2 + k/kd for a > 0 (p = a*(x - v)^2 + k/kd), else k/kd:
+    # p < 0 nowhere on N past 2v + |c|/(2|a|v), or from a point below it on
+    a, v = Fraction(an, ad), vn + Fraction(vr, vd)
+    b, c = -2 * a * v, (a * v * v if a > 0 else 0) + Fraction(k, kd)
+    scale = math.lcm(a.denominator, b.denominator, c.denominator)
+    ai, bi, ci = int(a * scale), int(b * scale), int(c * scale)
+    end = int(2 * v + abs(c) / (2 * abs(a) * v)) + 3
+    least = next((x for x in range(end) if (ai * x + bi) * x + ci < 0), None)
+    p = parse_poly("x^2").scale(a) + parse_poly("x").scale(b) + Poly.const(c)
+    assert quad_nonneg_halfline(a, b, c, "N") is (least is None)
+    verdict = nonneg_on(p, "N")
+    if least is None:
+        assert verdict.method == "quadratic-criterion"
+    else:
+        assert verdict.witness == (("x", least),) and verdict.value == p.eval({"x": least})
+
+
+def test_quadratics_over_n_the_old_ladder_left_unknown():
+    # the shifted rung needs s = 10, past DEFAULT_SHIFT_BOUND, for the first,
+    # and the second is negative only past the grid's 0..32
+    v = nonneg_on(parse_poly("x1^2 - 20*x1 + 100"), "N")
+    assert (v.status, v.method) == ("proved", "quadratic-criterion")
+    v = nonneg_on(parse_poly("-1*x1^2 + 100*x1"), "N")
+    assert v.describe() == "disproved (at x1=101: -101)"
+    # with an irrational coefficient the floor of the vertex is not taken
+    v = nonneg_on(parse_poly("x1^2 - 40*sqrt(2)*x1 + 1"), "N")
+    assert v.describe() == "disproved (at x1=1: 2-40*sqrt(2))"
 
 
 def _random_poly(rng, nvars):

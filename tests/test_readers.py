@@ -55,6 +55,7 @@ _TRS_ERRORS = {
     "empty": ("", "ERROR 1:1: expected (, got ''"),
 }
 
+_NINES = "9" * 5000
 _CERT_ERRORS = {
     "unbalanced": (
         "(DOMAIN N) (INTERP (f (x1) x1 + 1)",
@@ -144,6 +145,22 @@ _CERT_ERRORS = {
     "poly-end": (
         "(DOMAIN N) (INTERP (f (x1) x1 +))",
         "ERROR unexpected end of polynomial 'x1 +'",
+        3,
+    ),
+    # a numeral past Python's 4,300-digit limit on int() gets a reader's text
+    "poly-long-numeral": (
+        f"(DOMAIN N) (INTERP (f (x1) 2/{_NINES}))",
+        f"ERROR integer of 5000 digits, over the limit of 4300, in '2/{_NINES}'",
+        3,
+    ),
+    "long-index": (
+        f"(STEPS (STEP (DOMAIN N) (INTERP (f (x1) x1 + 1)) (REMOVE {_NINES})))",
+        "ERROR integer of 5000 digits, over the limit of 4300",
+        3,
+    ),
+    "long-radicand": (
+        f"(DOMAIN R (DELTA 1) (SQRT {_NINES})) (INTERP (f (x1) x1 + 1))",
+        "ERROR integer of 5000 digits, over the limit of 4300",
         3,
     ),
 }
